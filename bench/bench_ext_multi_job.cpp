@@ -3,12 +3,13 @@
 // motivates the heuristic with multi-tenant clusters).
 //
 // A mixed batch (one CPU-intensive, one mixed, one I/O-intensive job)
-// runs under every scheduler; we report per-job completion times, the
-// batch makespan, and mean JCT — the classic makespan-vs-fairness
-// trade-off, plus what Dagon's pv ordering does to it.
+// runs under every scheduler as a serving run with every job submitted
+// at t=0; we report per-job completion times, the batch makespan, and
+// mean JCT — the classic makespan-vs-fairness trade-off, plus what
+// Dagon's pv ordering does to it.
 #include "bench_util.hpp"
 #include "common/csv.hpp"
-#include "workloads/batch.hpp"
+#include "workloads/serving.hpp"
 
 using namespace dagon;
 
@@ -20,14 +21,15 @@ int main(int argc, char** argv) {
       "beyond the paper: Dagon's priority values extend naturally across "
       "job boundaries, trading a little fairness for batch makespan");
 
-  const BatchWorkload batch = merge_workloads({
+  const ServingWorkload batch = merge_workloads({
       make_workload(WorkloadId::LogisticRegression, WorkloadScale{1.0}),
       make_workload(WorkloadId::KMeans, WorkloadScale{0.5}),
       make_workload(WorkloadId::ConnectedComponent, WorkloadScale{1.0}),
   });
-  std::cout << "batch: " << batch.combined.name << " ("
-            << batch.combined.dag.num_stages() << " stages, "
-            << batch.combined.dag.total_tasks() << " tasks)\n\n";
+  const Workload& combined = batch.batch.combined;
+  std::cout << "batch: " << combined.name << " ("
+            << combined.dag.num_stages() << " stages, "
+            << combined.dag.total_tasks() << " tasks)\n\n";
 
   CsvWriter csv(bench::csv_path("ext_multi_job"),
                 {"scheduler", "job", "first_launch_sec", "jct_sec"});
@@ -41,21 +43,21 @@ int main(int argc, char** argv) {
     config.scheduler = kind;
     config.cache = kind == SchedulerKind::Dagon ? CachePolicyKind::Lrp
                                                 : CachePolicyKind::Lru;
-    const RunMetrics m = run_workload(batch.combined, config).metrics;
-    const auto done = per_job_completions(batch, m);
+    config.serving = batch.serving;
+    const RunMetrics m = run_workload(combined, config).metrics;
     double mean = 0.0;
     std::vector<std::string> row{scheduler_name(kind)};
-    for (const JobCompletion& jc : done) {
-      row.push_back(TextTable::num(to_seconds(jc.finish), 1));
+    for (const JobStats& job : m.jobs) {
+      row.push_back(TextTable::num(to_seconds(job.jct()), 1));
       // dagonlint: allow(float-accum): report-only mean over a fixed deterministic run order
-      mean += to_seconds(jc.finish);
-      csv.add_row({scheduler_name(kind), jc.name,
-                   TextTable::num(to_seconds(jc.first_launch), 2),
-                   TextTable::num(to_seconds(jc.finish), 2)});
+      mean += to_seconds(job.jct());
+      csv.add_row({scheduler_name(kind), job.name,
+                   TextTable::num(to_seconds(job.first_launch), 2),
+                   TextTable::num(to_seconds(job.jct()), 2)});
     }
     row.push_back(TextTable::num(to_seconds(m.jct), 1));
     row.push_back(
-        TextTable::num(mean / static_cast<double>(done.size()), 1));
+        TextTable::num(mean / static_cast<double>(m.jobs.size()), 1));
     t.add_row(row);
   }
   t.print(std::cout);

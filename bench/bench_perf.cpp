@@ -9,16 +9,9 @@
 //      (and the JSON records why) — publishing a "speedup" from
 //      time-sliced threads would be noise presented as signal. Results
 //      are fingerprint-checked bit-identical whenever both runs happen.
-//  (2) Scheduler hot path — the same runs with
-//      SimConfig::incremental_scheduling on vs off, reporting simulation
-//      events/sec both ways. The toggle covers only the memoized
-//      locality + dirty-flag pv pushes; the structural fast paths (the
-//      calendar event queue, SoA task state, free-slot executor index,
-//      and NO_PREF shortcut) are unconditional, so at testbed scale the
-//      two modes are within run-to-run noise of each other. The number
-//      that tracks the hot path across revisions is
-//      events_per_sec_incremental, floored by bench/perf_floor.json in
-//      CI.
+//  (2) Scheduler hot path — simulation events/sec of the serial sweep,
+//      the number that tracks the hot path across revisions; CI floors
+//      the --quick grid's value with bench/perf_floor.json.
 #include <algorithm>
 #include <fstream>
 #include <thread>
@@ -30,7 +23,7 @@ using namespace dagon;
 
 namespace {
 
-std::vector<SweepRun> make_grid(bool incremental) {
+std::vector<SweepRun> make_grid() {
   // 4 workloads × the Fig. 8 systems = 16 independent runs (--quick:
   // one workload, 4 runs — the CI smoke grid the perf floor is keyed to).
   std::vector<WorkloadId> ids = {
@@ -43,10 +36,8 @@ std::vector<SweepRun> make_grid(bool incremental) {
   for (const WorkloadId id : ids) {
     const Workload w = make_workload(id, bench::bench_scale());
     for (const SystemCombo& combo : systems) {
-      SimConfig config = apply_combo(bench::bench_testbed(), combo);
-      config.incremental_scheduling = incremental;
       grid.push_back({std::string(workload_name(id)) + "/" + combo.label,
-                      w, config});
+                      w, apply_combo(bench::bench_testbed(), combo)});
     }
   }
   return grid;
@@ -74,10 +65,9 @@ int main(int argc, char** argv) {
   bench::experiment_header(
       "PERF — sweep-engine scaling and scheduler hot-path throughput",
       "parallel sweeps are bit-identical to serial and divide wall time "
-      "by the worker count; the incremental schedule loop gives "
-      "identical results at no worse throughput");
+      "by the worker count");
 
-  const auto grid = make_grid(/*incremental=*/true);
+  const auto grid = make_grid();
 
   // --- (1) sweep scaling: serial vs parallel -----------------------------
   const unsigned hw_raw = std::thread::hardware_concurrency();
@@ -125,40 +115,15 @@ int main(int argc, char** argv) {
               << (identical ? "YES" : "NO — DETERMINISM BUG") << "\n\n";
   }
 
-  // --- (2) incremental schedule loop vs recompute baseline ---------------
-  // Serial on purpose: isolates single-run throughput from pool scaling.
-  const SweepReport baseline =
-      run_sweep(make_grid(/*incremental=*/false), SweepOptions{1});
-  const SweepReport incremental = run_sweep(grid, SweepOptions{1});
-
-  const double ev_base =
-      baseline.wall_seconds > 0.0
-          ? static_cast<double>(total_events(baseline)) /
-                baseline.wall_seconds
+  // --- (2) scheduler hot path: events/sec of the serial sweep ----------
+  const std::int64_t events = total_events(serial);
+  const double events_per_sec =
+      serial.wall_seconds > 0.0
+          ? static_cast<double>(events) / serial.wall_seconds
           : 0.0;
-  const double ev_incr =
-      incremental.wall_seconds > 0.0
-          ? static_cast<double>(total_events(incremental)) /
-                incremental.wall_seconds
-          : 0.0;
-  const double improvement = ev_base > 0.0 ? ev_incr / ev_base - 1.0 : 0.0;
-  const bool same_results =
-      sweep_fingerprint(baseline) == sweep_fingerprint(incremental);
-
-  TextTable hot({"schedule loop", "wall [s]", "events/sec"});
-  hot.add_row({"recompute-per-event",
-               TextTable::num(baseline.wall_seconds, 2),
-               TextTable::num(ev_base, 0)});
-  hot.add_row({"incremental", TextTable::num(incremental.wall_seconds, 2),
-               TextTable::num(ev_incr, 0)});
-  std::cout << "(2) scheduler hot path, " << total_events(incremental)
-            << " events per sweep\n";
-  hot.print(std::cout);
-  std::cout << "events/sec improvement: "
-            << (improvement >= 0 ? "+" : "")
-            << TextTable::percent(improvement)
-            << " (results identical: " << (same_results ? "YES" : "NO")
-            << ")\n";
+  std::cout << "(2) scheduler hot path: " << events
+            << " events per sweep, "
+            << TextTable::num(events_per_sec, 0) << " events/sec\n";
 
   const std::string json_path = bench::out_path("BENCH_perf.json");
   std::ofstream json(json_path);
@@ -182,14 +147,10 @@ int main(int argc, char** argv) {
          << "  \"parallel_bit_identical\": "
          << (identical ? "true" : "false") << ",\n";
   }
-  json << "  \"events_per_sweep\": " << total_events(incremental) << ",\n"
-       << "  \"events_per_sec_baseline\": " << ev_base << ",\n"
-       << "  \"events_per_sec_incremental\": " << ev_incr << ",\n"
-       << "  \"events_per_sec_improvement\": " << improvement << ",\n"
-       << "  \"incremental_bit_identical\": "
-       << (same_results ? "true" : "false") << "\n"
+  json << "  \"events_per_sweep\": " << events << ",\n"
+       << "  \"events_per_sec\": " << events_per_sec << "\n"
        << "}\n";
   std::cout << "\nJSON: " << json_path << "\n";
 
-  return identical && same_results ? 0 : 1;
+  return identical ? 0 : 1;
 }

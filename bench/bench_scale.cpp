@@ -101,7 +101,6 @@ SimConfig make_scale_config(const ScalePoint& p) {
   config.topology.cores_per_executor = Cpus{4};
   config.topology.cache_bytes_per_executor = 256 * kMiB;
   config.prefetch_enabled = false;
-  config.incremental_scheduling = true;
   return config;
 }
 
@@ -241,7 +240,6 @@ int main(int argc, char** argv) {
        << "  \"workload\": \"src(32 HDFS parts) ->narrow prep(32) "
           "->shuffle fan(N, zero-output)\",\n"
        << "  \"prefetch_enabled\": false,\n"
-       << "  \"incremental_scheduling\": true,\n"
        << "  \"peak_rss_note\": \""
        << (g_forked_rss
                ? "each point ran in its own forked child process, so "

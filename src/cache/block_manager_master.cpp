@@ -29,8 +29,6 @@ BlockManagerMaster::BlockManagerMaster(const Topology& topo,
   prefetchable_.assign(nb, 0);
   prefetch_by_node_.resize(topo.num_nodes());
   suspect_.assign(topo.num_executors(), 0);
-  disk_union_.resize(nb);
-  disk_union_valid_.assign(nb, 0);
   residency_.assign(nb, BlockResidency::Absent);
   // Input blocks are born on HDFS node disks: Disk is their *initial*
   // lifecycle state, seeded directly (there is no edge into it from
@@ -279,7 +277,6 @@ void BlockManagerMaster::on_block_produced(const BlockId& block,
     if (was_pf) unindex_prefetchable(o);
     disks.push_back(node);
     if (was_pf) index_prefetchable(o);
-    disk_union_valid_[o] = 0;
     ++placement_version_;
   }
   // Lifecycle: Absent → Materializing on first production, Lost →
@@ -378,21 +375,6 @@ bool BlockManagerMaster::finish_prefetch(const BlockId& block,
   return result.admitted;
 }
 
-const std::vector<NodeId>& BlockManagerMaster::disk_holders(
-    const BlockId& block) const {
-  const std::size_t o = ord(block);
-  if (disk_union_valid_[o] != 0) return disk_union_[o];
-  std::vector<NodeId> nodes = hdfs_->replicas_by_ord(static_cast<std::int64_t>(o));
-  for (const NodeId n : produced_disk_[o]) {
-    if (std::find(nodes.begin(), nodes.end(), n) == nodes.end()) {
-      nodes.push_back(n);
-    }
-  }
-  disk_union_[o] = std::move(nodes);
-  disk_union_valid_[o] = 1;
-  return disk_union_[o];
-}
-
 BlockManagerMaster::DropResult BlockManagerMaster::drop_executor(
     ExecutorId exec) {
   DropResult result;
@@ -444,7 +426,6 @@ BlockManagerMaster::DropResult BlockManagerMaster::drop_executor(
     const bool was_pf = prefetchable_[o] != 0;
     if (was_pf) unindex_prefetchable(o);
     disks = std::move(nodes);
-    disk_union_valid_[o] = 0;
     ++placement_version_;
 
     if (!disks.empty() ||
@@ -460,7 +441,6 @@ BlockManagerMaster::DropResult BlockManagerMaster::drop_executor(
       const ExecutorId holder = *std::min_element(mem.begin(), mem.end());
       producers.push_back(holder);
       disks.push_back(topo_->node_of(holder));
-      disk_union_valid_[o] = 0;
       ++placement_version_;
       ++result.rereplicated;
       if (was_pf) index_prefetchable(o);
@@ -546,7 +526,6 @@ BlockManagerMaster::rereplicate_suspect_blocks(ExecutorId target) {
       disks.push_back(target_node);
       if (was_pf) index_prefetchable(o);
     }
-    disk_union_valid_[o] = 0;
     ++placement_version_;
     ++result.blocks;
     result.bytes +=

@@ -89,13 +89,6 @@ class BlockManagerMaster {
     return memory_copies_[ord(block)];
   }
 
-  /// Nodes holding `block` on disk (HDFS replicas + produced copies,
-  /// deduplicated). Returns a view into a lazily maintained per-block
-  /// cache — no per-call allocation; invalidated when a new durable copy
-  /// of the block appears.
-  [[nodiscard]] const std::vector<NodeId>& disk_holders(
-      const BlockId& block) const;
-
   /// HDFS replica nodes of `block` (empty for non-input blocks).
   [[nodiscard]] const std::vector<NodeId>& hdfs_replicas(
       const BlockId& block) const {
@@ -252,11 +245,6 @@ class BlockManagerMaster {
   std::vector<std::set<std::int64_t>> prefetch_by_node_;
   /// 1 = suspected by the failure detector (indexed by executor id).
   std::vector<char> suspect_;
-  /// Lazily built union of hdfs_replicas + produced_disk_nodes per
-  /// block ordinal, so disk_holders() is a view. Invalidated when a new
-  /// produced copy lands (disk copies are never removed otherwise).
-  mutable std::vector<std::vector<NodeId>> disk_union_;
-  mutable std::vector<char> disk_union_valid_;
   /// Shadow lifecycle state per block ordinal
   /// (fsm::StateMachine<BlockResidency>); Absent until seeded/produced.
   /// Every write flows through set_residency() / fsm::transition().

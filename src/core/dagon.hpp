@@ -52,7 +52,6 @@
 #include "trace/chrome_trace.hpp"
 #include "trace/timeline.hpp"
 
-#include "workloads/batch.hpp"
 #include "workloads/example_dag.hpp"
 #include "workloads/graph_workloads.hpp"
 #include "workloads/ml_workloads.hpp"

@@ -49,13 +49,6 @@ class DelayPolicy {
   void on_launch(JobState& state, const BlockManagerMaster& master,
                  StageId s, Locality l, SimTime now) const;
 
-  /// Enables the per-(stage, task, executor) locality memo for find()'s
-  /// inner loop. Off by default so a policy instance behaves exactly as
-  /// the always-recompute baseline; the driver switches it on under
-  /// SimConfig::incremental_scheduling. Results are identical either
-  /// way — the memo is invalidated on every block-placement change.
-  void set_locality_cache_enabled(bool enabled) { use_cache_ = enabled; }
-
   [[nodiscard]] const LocalityWaits& waits() const { return waits_; }
 
  protected:
@@ -71,23 +64,11 @@ class DelayPolicy {
       const JobState& state, const BlockManagerMaster& master, StageId s,
       ExecutorId exec) const;
 
-  /// Locality of (s, index) on `exec`, via the memo when enabled.
-  [[nodiscard]] Locality locality_of(const JobState& state,
-                                     const BlockManagerMaster& master,
-                                     StageId s, std::int32_t index,
-                                     ExecutorId exec) const;
-
-  /// valid_locality_levels, via the memo when enabled.
-  [[nodiscard]] std::vector<Locality> levels_of(
-      const JobState& state, const BlockManagerMaster& master,
-      const StageRuntime& stage) const;
-
   LocalityWaits waits_;
   const CostModel* cost_;
   /// Pure memo of placement-derived answers (see LocalityCache); safe to
   /// mutate from const find() — it never changes observable results.
   mutable LocalityCache cache_;
-  bool use_cache_ = false;
 };
 
 /// Spark's stock delay scheduling: launch only at the allowed level or

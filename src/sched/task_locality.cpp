@@ -4,36 +4,6 @@
 
 namespace dagon {
 
-TaskPreferences task_preferences(const JobDag& dag,
-                                 const BlockManagerMaster& master,
-                                 const Topology& topo, StageId s,
-                                 std::int32_t index) {
-  TaskPreferences prefs;
-  const Stage& stage = dag.stage(s);
-  for (const RddRef& ref : stage.inputs) {
-    if (ref.kind != DepKind::Narrow) continue;
-    const BlockId block{ref.rdd, index};
-    for (const ExecutorId e : master.memory_holders(block)) {
-      if (std::find(prefs.executors.begin(), prefs.executors.end(), e) ==
-          prefs.executors.end()) {
-        prefs.executors.push_back(e);
-      }
-      const NodeId n = topo.node_of(e);
-      if (std::find(prefs.nodes.begin(), prefs.nodes.end(), n) ==
-          prefs.nodes.end()) {
-        prefs.nodes.push_back(n);
-      }
-    }
-    for (const NodeId n : master.disk_holders(block)) {
-      if (std::find(prefs.nodes.begin(), prefs.nodes.end(), n) ==
-          prefs.nodes.end()) {
-        prefs.nodes.push_back(n);
-      }
-    }
-  }
-  return prefs;
-}
-
 Locality task_locality_on(const JobDag& dag,
                           const BlockManagerMaster& master,
                           const Topology& topo, StageId s,

@@ -15,22 +15,6 @@
 
 namespace dagon {
 
-struct TaskPreferences {
-  /// Executors holding a narrow-dep input block in memory.
-  std::vector<ExecutorId> executors;
-  /// Nodes holding a narrow-dep input block (memory or disk).
-  std::vector<NodeId> nodes;
-
-  [[nodiscard]] bool empty() const {
-    return executors.empty() && nodes.empty();
-  }
-};
-
-/// Preferred locations of task `index` of stage `s` right now.
-[[nodiscard]] TaskPreferences task_preferences(
-    const JobDag& dag, const BlockManagerMaster& master,
-    const Topology& topo, StageId s, std::int32_t index);
-
 /// Locality level task `index` of stage `s` would run at on `exec`.
 [[nodiscard]] Locality task_locality_on(const JobDag& dag,
                                         const BlockManagerMaster& master,
@@ -39,7 +23,8 @@ struct TaskPreferences {
 
 /// The locality levels that can occur for stage `s`'s pending tasks,
 /// best-first — Spark's TaskSetManager::myLocalityLevels. A taskset
-/// whose tasks have no preferences yields {NoPref, Any}.
+/// whose tasks have no preferences yields {NoPref, Any}. The scheduler
+/// asks LocalityCache::levels; this recompute is its test reference.
 [[nodiscard]] std::vector<Locality> valid_locality_levels(
     const JobDag& dag, const BlockManagerMaster& master,
     const Topology& topo, const StageRuntime& stage);

@@ -1,22 +1,29 @@
-// Online multi-job serving: a stream of job arrivals over one shared
-// cluster and cache.
+// Multi-job runs: several applications over one shared cluster and
+// cache, each gated until its submit time.
 //
-// The paper evaluates one application per run; production Spark
-// clusters instead serve a stream of concurrent jobs whose cached data
-// compete for the same memory (the setting LERC [Yu et al.,
-// arXiv:1708.07941] targets). This module turns a list of per-job
-// Workloads into one serving run: an arrival process assigns each job a
-// submit time, the jobs' DAGs merge into one super-DAG (optionally
-// sharing identically named input datasets, so one job's cache fill
-// serves another's read), and the resulting SimConfig::ServingConfig
-// gates each job's stages until its JobSubmit event fires.
+// The paper evaluates one application per run but frames Dagon for
+// multi-tenant clusters (§III-A2) and contrasts Spark's FIFO and Fair
+// schedulers (§I); production Spark clusters serve a stream of
+// concurrent jobs whose cached data compete for the same memory (the
+// setting LERC [Yu et al., arXiv:1708.07941] targets). This module
+// merges per-job Workloads into one super-DAG (optionally sharing
+// identically named input datasets, so one job's cache fill serves
+// another's read) plus a SimConfig::ServingConfig that gates each job's
+// stages until its JobSubmit event fires.
+//
+// A batch is the case with every job submitted at t=0 and no inter-job
+// fair share, so the stage selector alone orders work across jobs: FIFO
+// runs them job by job (submission order), Fair balances allocated
+// cores across the jobs' ready stages, and Dagon's pv_i ranks stages
+// across job boundaries by remaining downstream work. An arrival
+// process turns a batch into a stream.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "sim/sim_config.hpp"
-#include "workloads/batch.hpp"
+#include "workloads/workload.hpp"
 
 namespace dagon {
 
@@ -57,7 +64,10 @@ struct ArrivalSpec {
 };
 
 /// Submit times for `n` jobs: non-decreasing, first arrival at t=0 (the
-/// stream starts with work). Deterministic in (spec, n).
+/// stream starts with work). Deterministic in (spec, n). Throws
+/// ConfigError when a rate of `spec.kind` is not finite and > 0, a
+/// trace is empty or has a gap that is not finite and >= 0, burst_len
+/// is < 1, or an arrival time does not fit SimTime.
 [[nodiscard]] std::vector<SimTime> generate_arrivals(
     const ArrivalSpec& spec, std::int32_t n);
 
@@ -73,14 +83,33 @@ struct ServingOptions {
 };
 
 struct ServingWorkload {
-  /// Merged super-DAG plus per-job stage lists.
-  BatchWorkload batch;
-  /// Ready to assign into SimConfig::serving.
+  struct Merged {
+    /// The merged super-DAG (one connected component per job).
+    Workload combined;
+  };
+  Merged batch;
+  /// Per job: name, stage ids inside the merged DAG, submit time and
+  /// weight. Ready to assign into SimConfig::serving.
   SimConfig::ServingConfig serving;
 };
 
+/// Merges `workloads` (in submission order) into one batch: every job
+/// submitted at t=0 with weight 1, FIFO across jobs. Stage and RDD ids
+/// are renumbered job by job, so FIFO's stage-id order equals submission
+/// order.
+///
+/// With `share_inputs`, input RDDs keep their bare names and identically
+/// named inputs across jobs become ONE dataset in the merged DAG (their
+/// shape must match exactly) — the structural basis for cross-job cache
+/// sharing in serving mode: one job's cached read benefits every other
+/// job touching the same input. Without it, inputs are prefixed
+/// "job/name" and stay private.
+[[nodiscard]] ServingWorkload merge_workloads(
+    const std::vector<Workload>& workloads, bool share_inputs = false);
+
 /// Builds a serving run: merges `jobs` and pairs each with its arrival
-/// time from `spec`.
+/// time from `spec`. Throws ConfigError on an invalid `spec` (see
+/// generate_arrivals).
 [[nodiscard]] ServingWorkload make_serving(const std::vector<Workload>& jobs,
                                            const ArrivalSpec& spec,
                                            const ServingOptions& opt = {});

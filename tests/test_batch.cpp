@@ -1,9 +1,9 @@
-// Tests for multi-job batches (workloads/batch) and multi-tenant
-// capacity fluctuation (SimConfig::capacity_phases).
+// Tests for multi-job batches (merge_workloads: serving runs with every
+// job submitted at t=0) and multi-tenant capacity fluctuation
+// (SimConfig::capacity_phases).
 #include <gtest/gtest.h>
 
 #include "core/dagon.hpp"
-#include "workloads/batch.hpp"
 
 namespace dagon {
 namespace {
@@ -26,31 +26,45 @@ Workload tiny_job(const std::string& name, SimTime duration, Cpus cpus) {
   return Workload{name, WorkloadCategory::Mixed, b.build()};
 }
 
+/// Runs `batch` (every job submitted at t=0, FIFO across jobs) and
+/// returns its per-job stats, in submission order.
+std::vector<JobStats> run_batch(const ServingWorkload& batch,
+                                SimConfig config) {
+  config.serving = batch.serving;
+  return run_workload(batch.batch.combined, config).metrics.jobs;
+}
+
 TEST(Batch, MergePreservesStructure) {
-  const BatchWorkload batch = merge_workloads(
+  const ServingWorkload batch = merge_workloads(
       {tiny_job("alpha", 2 * kSec, Cpus{1}), tiny_job("beta", 4 * kSec, Cpus{2})});
-  EXPECT_EQ(batch.combined.name, "alpha+beta");
-  EXPECT_EQ(batch.combined.dag.num_stages(), 4u);
-  ASSERT_EQ(batch.jobs.size(), 2u);
-  EXPECT_EQ(batch.jobs[0].stages,
-            (std::vector<StageId>{StageId(0), StageId(1)}));
-  EXPECT_EQ(batch.jobs[1].stages,
-            (std::vector<StageId>{StageId(2), StageId(3)}));
+  const Workload& combined = batch.batch.combined;
+  EXPECT_EQ(combined.name, "alpha+beta");
+  EXPECT_EQ(combined.dag.num_stages(), 4u);
+  const auto& jobs = batch.serving.jobs;
+  ASSERT_EQ(jobs.size(), 2u);
+  EXPECT_EQ(jobs[0].stages, (std::vector<StageId>{StageId(0), StageId(1)}));
+  EXPECT_EQ(jobs[1].stages, (std::vector<StageId>{StageId(2), StageId(3)}));
+  // A batch: every job submitted at t=0, weight 1, FIFO across jobs.
+  for (const SimConfig::ServingJob& job : jobs) {
+    EXPECT_EQ(job.submit_at, SimTime{0});
+    EXPECT_EQ(job.weight, 1);
+  }
+  EXPECT_FALSE(batch.serving.fair_share);
   // Jobs are disconnected components: no cross-job edges.
-  for (const StageId sid : batch.jobs[0].stages) {
-    for (const StageId child : batch.combined.dag.stage(sid).children) {
+  for (const StageId sid : jobs[0].stages) {
+    for (const StageId child : combined.dag.stage(sid).children) {
       EXPECT_LT(child.value(), 2);
     }
   }
   // Names are prefixed for readability.
-  EXPECT_EQ(batch.combined.dag.stage(StageId(2)).name, "beta/map");
+  EXPECT_EQ(combined.dag.stage(StageId(2)).name, "beta/map");
 }
 
 TEST(Batch, MergePreservesWorkloads) {
   const Workload a = tiny_job("alpha", 2 * kSec, Cpus{1});
   const Workload b = tiny_job("beta", 4 * kSec, Cpus{2});
-  const BatchWorkload batch = merge_workloads({a, b});
-  EXPECT_EQ(batch.combined.dag.total_workload(),
+  const ServingWorkload batch = merge_workloads({a, b});
+  EXPECT_EQ(batch.batch.combined.dag.total_workload(),
             a.dag.total_workload() + b.dag.total_workload());
 }
 
@@ -58,21 +72,23 @@ TEST(Batch, MergeRejectsEmpty) {
   EXPECT_THROW(merge_workloads({}), ConfigError);
 }
 
-TEST(Batch, PerJobCompletionsAreConsistent) {
-  const BatchWorkload batch = merge_workloads(
+TEST(Batch, PerJobStatsAreConsistent) {
+  const ServingWorkload batch = merge_workloads(
       {tiny_job("alpha", 2 * kSec, Cpus{1}), tiny_job("beta", 4 * kSec, Cpus{1})});
   SimConfig config;
   config.topology.racks = 1;
   config.topology.nodes_per_rack = 2;
   config.topology.executors_per_node = 1;
   config.topology.cores_per_executor = Cpus{4};
-  const RunMetrics m = run_workload(batch.combined, config).metrics;
-  const auto completions = per_job_completions(batch, m);
-  ASSERT_EQ(completions.size(), 2u);
+  config.serving = batch.serving;
+  const RunMetrics m = run_workload(batch.batch.combined, config).metrics;
+  ASSERT_EQ(m.jobs.size(), 2u);
   SimTime latest{};
-  for (const JobCompletion& jc : completions) {
-    EXPECT_GT(jc.finish, jc.first_launch);
-    latest = std::max(latest, jc.finish);
+  for (const JobStats& job : m.jobs) {
+    EXPECT_EQ(job.submitted, SimTime{0});
+    EXPECT_GT(job.finished, job.first_launch);
+    EXPECT_EQ(job.jct(), job.finished);
+    latest = std::max(latest, job.finished);
   }
   EXPECT_EQ(latest, m.jct);
 }
@@ -80,7 +96,7 @@ TEST(Batch, PerJobCompletionsAreConsistent) {
 TEST(Batch, FairSharesAcrossJobsFifoSerializes) {
   // Two identical jobs on a tight cluster: FIFO runs alpha before beta
   // (beta's first launch is late); Fair interleaves (both start early).
-  const BatchWorkload batch = merge_workloads(
+  const ServingWorkload batch = merge_workloads(
       {tiny_job("alpha", 4 * kSec, Cpus{1}), tiny_job("beta", 4 * kSec, Cpus{1})});
   SimConfig config;
   config.topology.racks = 1;
@@ -89,22 +105,18 @@ TEST(Batch, FairSharesAcrossJobsFifoSerializes) {
   config.topology.cores_per_executor = Cpus{4};  // 8+8 tasks on 4 cores
 
   config.scheduler = SchedulerKind::Fifo;
-  const auto fifo =
-      per_job_completions(batch, run_workload(batch.combined,
-                                              config).metrics);
+  const auto fifo = run_batch(batch, config);
   config.scheduler = SchedulerKind::Fair;
-  const auto fair =
-      per_job_completions(batch, run_workload(batch.combined,
-                                              config).metrics);
+  const auto fair = run_batch(batch, config);
   EXPECT_LT(fair[1].first_launch, fifo[1].first_launch);
   // Fair trades beta's start for alpha's finish.
-  EXPECT_GE(fair[0].finish, fifo[0].finish);
+  EXPECT_GE(fair[0].finished, fifo[0].finished);
 }
 
 TEST(Batch, DagonPrioritizesBiggerRemainingWork) {
   // A heavy and a light job: Dagon's pv ranks the heavy job's stages
   // first, so the light job finishes close to last (makespan-friendly).
-  const BatchWorkload batch = merge_workloads(
+  const ServingWorkload batch = merge_workloads(
       {tiny_job("light", kSec, Cpus{1}), tiny_job("heavy", 8 * kSec, Cpus{1})});
   SimConfig config;
   config.topology.racks = 1;
@@ -112,9 +124,7 @@ TEST(Batch, DagonPrioritizesBiggerRemainingWork) {
   config.topology.executors_per_node = 1;
   config.topology.cores_per_executor = Cpus{4};
   config.scheduler = SchedulerKind::Dagon;
-  const auto done =
-      per_job_completions(batch, run_workload(batch.combined,
-                                              config).metrics);
+  const auto done = run_batch(batch, config);
   // The heavy job starts first despite its higher stage ids.
   EXPECT_LE(done[1].first_launch, done[0].first_launch);
 }

@@ -467,9 +467,9 @@ TEST_F(MasterFixture, LookupNonexistentBlockThrows) {
 TEST_F(MasterFixture, ProducedBlockGetsDiskAndMemoryCopy) {
   master_.on_block_produced(B(0), ExecutorId(0), SimTime{5});
   EXPECT_TRUE(master_.exists(B(0)));
-  const auto disks = master_.disk_holders(B(0));
-  ASSERT_EQ(disks.size(), 1u);
-  EXPECT_EQ(disks[0], topo_.node_of(ExecutorId(0)));
+  EXPECT_TRUE(master_.hdfs_replicas(B(0)).empty());
+  EXPECT_EQ(master_.produced_disk_nodes(B(0)),
+            std::vector<NodeId>{topo_.node_of(ExecutorId(0))});
   // B priority is low (pv4) but the cache has room -> admitted.
   EXPECT_EQ(master_.lookup(B(0), ExecutorId(0)).source,
             BlockSource::LocalMemory);

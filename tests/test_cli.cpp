@@ -97,6 +97,10 @@ TEST(Cli, MalformedValuesExitTwo) {
            "--heartbeat-interval -",
            "--blacklist-threshold 2.5",
            "--preset nope",
+           // Negative counts would wrap to SIZE_MAX.
+           "--serve-jobs -1",
+           "--repeat -1",
+           "--jobs -1",
        }) {
     const CliResult r = run_cli(args);
     EXPECT_EQ(r.exit_code, 2) << args << "\n" << r.output;
@@ -108,6 +112,14 @@ TEST(Cli, InvalidFaultConfigHitsConfigErrorPath) {
   // FaultPlan throws ConfigError, the driver front-end maps it to 2.
   const CliResult r = run_cli(std::string(kTinyRun) +
                               " --fault-partition 20:10");
+  EXPECT_EQ(r.exit_code, 2) << r.output;
+  EXPECT_NE(r.output.find("invalid config"), std::string::npos);
+}
+
+TEST(Cli, InvalidArrivalHitsConfigErrorPath) {
+  // A zero Poisson rate parses but generate_arrivals rejects it.
+  const CliResult r = run_cli(std::string(kTinyRun) +
+                              " --serve-jobs 2 --arrival poisson:0");
   EXPECT_EQ(r.exit_code, 2) << r.output;
   EXPECT_NE(r.output.find("invalid config"), std::string::npos);
 }

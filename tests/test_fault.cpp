@@ -226,7 +226,8 @@ TEST(FaultRecovery, CrashedExecutorLeavesClusterAndCacheStaysDiskBacked) {
   // so ordinary eviction can never lose data.
   for (const Executor& e : driver.topology().executors()) {
     for (const auto& entry : driver.master().manager(e.id).entries()) {
-      EXPECT_FALSE(driver.master().disk_holders(entry.id).empty())
+      EXPECT_FALSE(driver.master().hdfs_replicas(entry.id).empty() &&
+                   driver.master().produced_disk_nodes(entry.id).empty())
           << "block " << entry.id << " cached without a disk copy";
     }
   }

@@ -150,19 +150,34 @@ TEST_F(SchedFixture, ReaddPendingRestoresWork) {
 // --- locality ---------------------------------------------------------------
 
 TEST_F(SchedFixture, TaskPreferencesFollowHdfsReplicas) {
-  // S1 task 0 reads A0 (no memory copy yet): node preference only.
-  const TaskPreferences prefs =
-      task_preferences(dag(), master_, topo_, StageId(0), 0);
-  EXPECT_TRUE(prefs.executors.empty());
-  EXPECT_EQ(prefs.nodes, hdfs_.replicas(BlockId{RddId(0), 0}));
+  // S1 task 0 reads A0 (no memory copy yet): node preference only. The
+  // executors it is Node-local on are exactly those on A0's replicas,
+  // and it is Process-local nowhere.
+  const std::vector<NodeId> replicas = hdfs_.replicas(BlockId{RddId(0), 0});
+  ASSERT_FALSE(replicas.empty());
+  std::vector<NodeId> node_local;
+  for (const Executor& e : topo_.executors()) {
+    const Locality l =
+        task_locality_on(dag(), master_, topo_, StageId(0), 0, e.id);
+    EXPECT_NE(l, Locality::Process);
+    if (l == Locality::Node) node_local.push_back(e.node);
+  }
+  EXPECT_EQ(node_local, replicas);
 }
 
 TEST_F(SchedFixture, TaskPreferencesIncludeMemoryHolders) {
   master_.seed_initial_cache(SimTime{0});
-  const TaskPreferences prefs =
-      task_preferences(dag(), master_, topo_, StageId(0), 0);
-  ASSERT_EQ(prefs.executors.size(), 1u);
-  EXPECT_EQ(prefs.executors[0], master_.memory_holders(BlockId{RddId(0), 0})[0]);
+  // Exactly one executor — A0's memory holder — is Process-local.
+  std::vector<ExecutorId> process_local;
+  for (const Executor& e : topo_.executors()) {
+    if (task_locality_on(dag(), master_, topo_, StageId(0), 0, e.id) ==
+        Locality::Process) {
+      process_local.push_back(e.id);
+    }
+  }
+  ASSERT_EQ(process_local.size(), 1u);
+  EXPECT_EQ(process_local[0],
+            master_.memory_holders(BlockId{RddId(0), 0})[0]);
 }
 
 TEST_F(SchedFixture, TaskLocalityLevels) {
@@ -187,6 +202,103 @@ TEST_F(SchedFixture, ValidLocalityLevels) {
   const auto levels_s3 =
       valid_locality_levels(dag(), master_, topo_, state_.stage(StageId(2)));
   EXPECT_EQ(levels_s3.front(), Locality::NoPref);
+}
+
+TEST(LocalityCache, MatchesRecomputeAcrossPlacementHooks) {
+  // in (HDFS, partitions 0-1 cached) -narrow-> prep -narrow-> post.
+  // prep's output is not cacheable, so producing it only adds a disk
+  // copy: each step below moves placement through one hook alone.
+  JobDagBuilder b("hooks");
+  const RddId in = b.input_rdd("in", 4, kMiB, /*initially_cached=*/2);
+  const StageId prep = b.add_stage({.name = "prep",
+                                    .inputs = {{in, DepKind::Narrow}},
+                                    .num_tasks = 4,
+                                    .task_cpus = Cpus{1},
+                                    .task_duration = kSec,
+                                    .output_bytes_per_partition = kMiB,
+                                    .cache_output = false});
+  b.add_stage({.name = "post",
+               .inputs = {{b.output_of(prep), DepKind::Narrow}},
+               .num_tasks = 4,
+               .task_cpus = Cpus{1},
+               .task_duration = kSec,
+               .output_bytes_per_partition = Bytes{0}});
+  const JobDag dag = b.build();
+  const JobProfile profile = exact_profile(dag);
+  TopologySpec spec;
+  spec.racks = 2;
+  spec.nodes_per_rack = 2;
+  spec.cache_bytes_per_executor = 16 * kMiB;
+  const Topology topo(spec);
+  Rng rng(3);
+  HdfsSpec hdfs_spec;
+  hdfs_spec.replication = 1;
+  const HdfsPlacement hdfs(dag, topo, hdfs_spec, rng);
+  ReferenceOracle oracle(dag);
+  const auto policy = make_cache_policy(CachePolicyKind::Lru);
+  BlockManagerMaster master(topo, dag, hdfs, oracle, *policy);
+  const JobState state(dag, topo, profile);
+  LocalityCache cache;
+
+  // The memo must give what a recompute gives, for every pending (task,
+  // executor) pair and every stage's ladder. Each check also refills the
+  // memo, so a hook that moves placement without bumping
+  // placement_version() leaves a stale answer for the next check.
+  const auto expect_memo_matches = [&](const char* step) {
+    SCOPED_TRACE(step);
+    for (const Stage& s : dag.stages()) {
+      const StageRuntime& rt = state.stage(s.id);
+      for (const std::int32_t index : rt.pending) {
+        for (const Executor& e : topo.executors()) {
+          EXPECT_EQ(cache.locality(dag, master, topo, s.id, index, e.id),
+                    task_locality_on(dag, master, topo, s.id, index, e.id))
+              << "stage " << s.id << " task " << index << " exec " << e.id;
+        }
+      }
+      EXPECT_EQ(cache.levels(dag, master, topo, rt),
+                valid_locality_levels(dag, master, topo, rt))
+          << "stage " << s.id;
+    }
+  };
+  expect_memo_matches("initial");
+
+  master.seed_initial_cache(SimTime{0});
+  expect_memo_matches("seed_initial_cache");
+  const BlockId in0{in, 0};
+  const ExecutorId holder = master.memory_holders(in0).at(0);
+  // Two seeded blocks leave at least two of the four caches empty.
+  std::vector<ExecutorId> empty;
+  for (const Executor& e : topo.executors()) {
+    if (master.manager(e.id).num_blocks() == 0) empty.push_back(e.id);
+  }
+  ASSERT_GE(empty.size(), 2u);
+  const ExecutorId reader = empty.front();
+  const ExecutorId target = empty.back();
+
+  master.on_block_produced(BlockId{dag.stage(prep).output, 0}, holder, kSec);
+  expect_memo_matches("on_block_produced");
+
+  const BlockId in2{in, 2};
+  master.on_block_read(in2, reader, master.lookup(in2, reader), kSec);
+  ASSERT_EQ(master.memory_holders(in2), std::vector<ExecutorId>{reader});
+  expect_memo_matches("on_block_read admit");
+
+  ASSERT_TRUE(master.drop_memory_block(in2, reader));
+  expect_memo_matches("drop_memory_block");
+
+  master.set_executor_suspect(holder, true);
+  expect_memo_matches("set_executor_suspect on");
+
+  // prep's output block 0 has its only copy on the suspect.
+  EXPECT_EQ(master.rereplicate_suspect_blocks(target).blocks, 1);
+  expect_memo_matches("rereplicate_suspect_blocks");
+
+  master.set_executor_suspect(holder, false);
+  expect_memo_matches("set_executor_suspect off");
+
+  // target holds one disk copy and no memory copy.
+  EXPECT_EQ(master.drop_executor(target).disk_dropped, 1);
+  expect_memo_matches("drop_executor");
 }
 
 // --- estimator ---------------------------------------------------------------

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -81,7 +82,45 @@ TEST(Arrivals, TraceGapsCycle) {
 TEST(Arrivals, TraceNeedsGaps) {
   ArrivalSpec spec;
   spec.kind = ArrivalKind::Trace;
-  EXPECT_THROW(generate_arrivals(spec, 2), InvariantError);
+  EXPECT_THROW(generate_arrivals(spec, 2), ConfigError);
+}
+
+TEST(Arrivals, InvalidSpecsAreConfigErrors) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  ArrivalSpec poisson;
+  poisson.rate_per_sec = 0.0;
+  EXPECT_THROW(generate_arrivals(poisson, 2), ConfigError);
+  poisson.rate_per_sec = nan;
+  EXPECT_THROW(generate_arrivals(poisson, 2), ConfigError);
+  // A valid rate whose gaps land past the end of SimTime.
+  poisson.rate_per_sec = 1e-300;
+  EXPECT_THROW(generate_arrivals(poisson, 2), ConfigError);
+
+  ArrivalSpec trace;
+  trace.kind = ArrivalKind::Trace;
+  trace.trace_gaps_sec = {-1.0};
+  EXPECT_THROW(generate_arrivals(trace, 2), ConfigError);
+  trace.trace_gaps_sec = {nan};
+  EXPECT_THROW(generate_arrivals(trace, 2), ConfigError);
+  // 1e300 s does not convert to int64 µs at all; 5e12 s does, but two
+  // of them summed overflow.
+  trace.trace_gaps_sec = {1e300};
+  EXPECT_THROW(generate_arrivals(trace, 2), ConfigError);
+  trace.trace_gaps_sec = {5e12};
+  EXPECT_EQ(generate_arrivals(trace, 2).back(),
+            SimTime{5'000'000'000'000'000'000});
+  EXPECT_THROW(generate_arrivals(trace, 3), ConfigError);
+
+  ArrivalSpec bursty;
+  bursty.kind = ArrivalKind::Bursty;
+  bursty.burst_rate_per_sec = -1.0;
+  EXPECT_THROW(generate_arrivals(bursty, 2), ConfigError);
+  bursty.burst_rate_per_sec = 4.0;
+  bursty.idle_rate_per_sec = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(generate_arrivals(bursty, 2), ConfigError);
+  bursty.idle_rate_per_sec = 0.25;
+  bursty.burst_len = 0;
+  EXPECT_THROW(generate_arrivals(bursty, 2), ConfigError);
 }
 
 TEST(Arrivals, BurstyAlternatesPhases) {
@@ -103,13 +142,16 @@ TEST(Arrivals, BurstyAlternatesPhases) {
 
 TEST(ServeMerge, SharedInputsDedupeAcrossJobs) {
   const std::vector<Workload> jobs = {paired_job("j0"), paired_job("j1")};
-  const BatchWorkload shared = merge_workloads(jobs, /*share_inputs=*/true);
-  const BatchWorkload isolated =
+  const ServingWorkload shared =
+      merge_workloads(jobs, /*share_inputs=*/true);
+  const ServingWorkload isolated =
       merge_workloads(jobs, /*share_inputs=*/false);
   // One "ds" dataset in the shared merge, two private copies otherwise.
-  const auto count_inputs = [](const BatchWorkload& bw) {
+  const auto count_inputs = [](const ServingWorkload& sw) {
     std::int64_t n = 0;
-    for (const Rdd& r : bw.combined.dag.rdds()) n += r.is_input ? 1 : 0;
+    for (const Rdd& r : sw.batch.combined.dag.rdds()) {
+      n += r.is_input ? 1 : 0;
+    }
     return n;
   };
   EXPECT_EQ(count_inputs(shared), 1);

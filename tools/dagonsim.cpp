@@ -85,6 +85,14 @@ std::int64_t parse_int(const std::string& flag, const std::string& v) {
   return x;
 }
 
+/// A count flag (--repeat, --jobs, --serve-jobs): a negative value would
+/// wrap to SIZE_MAX in the size_t it lands in.
+std::size_t parse_count(const std::string& flag, const std::string& v) {
+  const std::int64_t n = parse_int(flag, v);
+  if (n < 0) usage_error("negative count '" + v + "' for " + flag);
+  return static_cast<std::size_t>(n);
+}
+
 /// Splits a colon-separated fault spec and bounds the field count.
 std::vector<std::string> parse_spec(const std::string& flag,
                                     const std::string& v,
@@ -301,10 +309,10 @@ int main(int argc, char** argv) {
     } else if (arg == "--out-dir") {
       opt.out_dir = next();
     } else if (arg == "--repeat") {
-      opt.repeat = static_cast<std::size_t>(parse_int(arg, next()));
+      opt.repeat = parse_count(arg, next());
       if (opt.repeat == 0) opt.repeat = 1;
     } else if (arg == "--jobs") {
-      opt.jobs = static_cast<std::size_t>(parse_int(arg, next()));
+      opt.jobs = parse_count(arg, next());
     } else if (arg == "--fault-crash") {
       const auto f = parse_spec(arg, next(), 1, 2);
       ExecutorCrashSpec crash;
@@ -405,7 +413,7 @@ int main(int argc, char** argv) {
       opt.tail.escalation_wait = from_seconds(parse_double(arg, next()));
       opt.tail.escalate = true;
     } else if (arg == "--serve-jobs") {
-      opt.serve_jobs = static_cast<std::size_t>(parse_int(arg, next()));
+      opt.serve_jobs = parse_count(arg, next());
       if (opt.serve_jobs == 0) opt.serve_jobs = 1;
     } else if (arg == "--arrival") {
       const auto f = parse_spec(arg, next(), 1, 4);
@@ -481,7 +489,8 @@ int main(int argc, char** argv) {
       w.name += "#" + std::to_string(i);
       serve_jobs.push_back(std::move(w));
     }
-    workload = merge_workloads(serve_jobs, /*share_inputs=*/true).combined;
+    workload =
+        merge_workloads(serve_jobs, /*share_inputs=*/true).batch.combined;
   }
 
   const DagShape shape = analyze_shape(workload.dag);
@@ -505,27 +514,27 @@ int main(int argc, char** argv) {
 
   // One SweepRun per repeat, seeds seed..seed+K-1; --jobs fans them over
   // the pool (bit-identical to serial for the same seeds).
-  std::vector<SweepRun> repeats;
-  for (std::size_t k = 0; k < opt.repeat; ++k) {
-    SimConfig c = config;
-    c.seed = opt.seed + k;
-    if (serving) {
-      // The repeat seed also drives the arrival draws, so repeats see
-      // genuinely different (but reproducible) traffic.
-      ArrivalSpec spec = opt.arrival;
-      spec.seed = c.seed;
-      ServingOptions so;
-      so.fair_share = opt.fair_share;
-      ServingWorkload sw = make_serving(serve_jobs, spec, so);
-      c.serving = sw.serving;
-      repeats.push_back({"seed=" + std::to_string(c.seed),
-                         std::move(sw.batch.combined), c});
-    } else {
-      repeats.push_back({"seed=" + std::to_string(c.seed), workload, c});
-    }
-  }
   SweepReport sweep;
   try {
+    std::vector<SweepRun> repeats;
+    for (std::size_t k = 0; k < opt.repeat; ++k) {
+      SimConfig c = config;
+      c.seed = opt.seed + k;
+      if (serving) {
+        // The repeat seed also drives the arrival draws, so repeats see
+        // genuinely different (but reproducible) traffic.
+        ArrivalSpec spec = opt.arrival;
+        spec.seed = c.seed;
+        ServingOptions so;
+        so.fair_share = opt.fair_share;
+        ServingWorkload sw = make_serving(serve_jobs, spec, so);
+        c.serving = sw.serving;
+        repeats.push_back({"seed=" + std::to_string(c.seed),
+                           std::move(sw.batch.combined), c});
+      } else {
+        repeats.push_back({"seed=" + std::to_string(c.seed), workload, c});
+      }
+    }
     sweep = run_sweep(repeats, SweepOptions{opt.jobs});
   } catch (const ConfigError& e) {
     std::cerr << "invalid config: " << e.what() << "\n";
