@@ -65,11 +65,8 @@ SimConfig make_tail_config(const Variant& v, double tail_prob,
   config.tail.tiers.push_back(SimConfig::ExecTier{"fast", 0.25, 0.5});
   config.tail.escalate = v.escalate;
   config.tail.escalation_wait = 2 * kSec;
-  if (tail_prob > 0.0) {
-    config.faults.enabled = true;
-    config.faults.heavy_tail_prob = tail_prob;
-    config.faults.heavy_tail_mult = kHeavyTailMult;
-  }
+  config.faults.heavy_tail_prob = tail_prob;
+  config.faults.heavy_tail_mult = kHeavyTailMult;
   config.speculation.enabled = v.hedge;
   config.speculation.hedge = v.hedge;
   return config;

@@ -24,13 +24,11 @@ std::vector<Scenario> scenarios() {
   for (const double p : {0.0, 0.01, 0.03, 0.1}) {
     Scenario s;
     s.label = "task-fail p=" + TextTable::num(p, 2);
-    s.faults.enabled = p > 0.0;
     s.faults.task_fail_prob = p;
     out.push_back(std::move(s));
   }
   Scenario crash;
   crash.label = "crash 1 exec @30s";
-  crash.faults.enabled = true;
   crash.faults.crashes.push_back(ExecutorCrashSpec{30 * kSec, -1});
   out.push_back(std::move(crash));
   return out;

@@ -28,7 +28,6 @@ struct Scenario {
 
 FaultConfig gray_base() {
   FaultConfig f;
-  f.enabled = true;
   f.heartbeats = true;
   return f;
 }

@@ -441,7 +441,6 @@ BlockManagerMaster::DropResult BlockManagerMaster::drop_executor(
       const ExecutorId holder = *std::min_element(mem.begin(), mem.end());
       producers.push_back(holder);
       disks.push_back(topo_->node_of(holder));
-      ++placement_version_;
       ++result.rereplicated;
       if (was_pf) index_prefetchable(o);
     } else {

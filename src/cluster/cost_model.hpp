@@ -8,7 +8,6 @@
 
 #include "common/sim_time.hpp"
 #include "common/units.hpp"
-#include "cluster/locality.hpp"
 
 namespace dagon {
 

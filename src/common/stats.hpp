@@ -7,7 +7,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "common/error.hpp"
 #include "common/sim_time.hpp"
 
 namespace dagon {

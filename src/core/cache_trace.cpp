@@ -6,7 +6,6 @@
 
 #include "cache/block_manager.hpp"
 #include "common/error.hpp"
-#include "common/sorted_view.hpp"
 #include "dag/profile.hpp"
 
 namespace dagon {

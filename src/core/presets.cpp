@@ -40,7 +40,6 @@ SimConfig case_study_cluster() {
 
 SimConfig faulty_testbed() {
   SimConfig config = paper_testbed();
-  config.faults.enabled = true;
   // One random-target crash two minutes in (most workloads are mid-DAG
   // by then, so cached intermediates are actually at risk).
   config.faults.crashes.push_back(ExecutorCrashSpec{120 * kSec, -1});
@@ -52,7 +51,6 @@ SimConfig faulty_testbed() {
 
 SimConfig graybox_testbed() {
   SimConfig config = paper_testbed();
-  config.faults.enabled = true;
   config.faults.heartbeats = true;
   // A random rack loses driver connectivity for 15 s one minute in:
   // long enough to push every silent executor past suspect_phi, short
@@ -75,7 +73,6 @@ SimConfig tail_testbed() {
   config.tail.tiers.push_back(SimConfig::ExecTier{"slow", 0.25, 2.0});
   config.tail.tiers.push_back(SimConfig::ExecTier{"fast", 0.25, 0.5});
   config.tail.escalate = true;
-  config.faults.enabled = true;
   config.faults.heavy_tail_prob = 0.05;
   config.faults.heavy_tail_mult = 6.0;
   config.speculation.enabled = true;

@@ -3,10 +3,10 @@
 // network partitions, degraded executors, heartbeat monitoring and
 // executor blacklisting.
 //
-// Everything defaults to off, and every stochastic draw flows through a
-// dedicated RNG stream (FaultPlan), so a config with faults disabled —
-// or enabled with all rates at zero — produces a trace bit-identical to
-// a build that predates the fault subsystem.
+// Everything defaults to off — no schedule, every rate zero — and every
+// stochastic draw flows through a dedicated RNG stream (FaultPlan), so
+// the default config produces a trace bit-identical to a build that
+// predates the fault subsystem.
 #pragma once
 
 #include <cstdint>
@@ -49,10 +49,6 @@ struct DegradeSpec {
 };
 
 struct FaultConfig {
-  /// Master switch; with `false` no fault event is ever scheduled and no
-  /// fault RNG value is ever drawn.
-  bool enabled = false;
-
   /// Executor crashes: the crashed executor's running attempts fail and
   /// are retried elsewhere, its cores leave the cluster for good, and
   /// its cached + produced-disk blocks are dropped. Blocks whose last
@@ -126,15 +122,7 @@ struct FaultConfig {
   /// True when the gray layer (heartbeats, suspicion, partitions,
   /// degrades) is live — i.e. heartbeat events will be scheduled.
   [[nodiscard]] bool gray_active() const {
-    return enabled &&
-           (!partitions.empty() || !degrades.empty() || heartbeats);
-  }
-
-  /// True when enabling this config can change a run at all.
-  [[nodiscard]] bool active() const {
-    return enabled && (!crashes.empty() || task_fail_prob > 0.0 ||
-                       block_loss_per_gb_hour > 0.0 ||
-                       heavy_tail_prob > 0.0 || gray_active());
+    return !partitions.empty() || !degrades.empty() || heartbeats;
   }
 };
 

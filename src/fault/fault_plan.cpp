@@ -12,16 +12,20 @@ FaultPlan::FaultPlan(const FaultConfig& config, std::size_t num_executors,
     : config_(config),
       rng_(Rng(seed).fork(kFaultRngStream)),
       tail_rng_(Rng(seed).fork(kHeavyTailRngStream)) {
-  if (config.task_fail_prob < 0.0 || config.task_fail_prob >= 1.0) {
+  // Each check states what a valid value satisfies and negates it, so a
+  // NaN (for which every comparison is false) fails it. Multipliers that
+  // scale a SimTime must also be finite.
+  if (!(config.task_fail_prob >= 0.0 && config.task_fail_prob < 1.0)) {
     throw ConfigError("faults.task_fail_prob must be in [0, 1)");
   }
-  if (config.heavy_tail_prob < 0.0 || config.heavy_tail_prob > 1.0) {
+  if (!(config.heavy_tail_prob >= 0.0 && config.heavy_tail_prob <= 1.0)) {
     throw ConfigError("faults.heavy_tail_prob must be in [0, 1]");
   }
-  if (config.heavy_tail_mult < 1.0) {
-    throw ConfigError("faults.heavy_tail_mult must be >= 1.0");
+  if (!(config.heavy_tail_mult >= 1.0 &&
+        std::isfinite(config.heavy_tail_mult))) {
+    throw ConfigError("faults.heavy_tail_mult must be finite and >= 1.0");
   }
-  if (config.block_loss_per_gb_hour < 0.0) {
+  if (!(config.block_loss_per_gb_hour >= 0.0)) {
     throw ConfigError("faults.block_loss_per_gb_hour must be >= 0");
   }
   if (config.block_loss_interval <= SimTime{0}) {
@@ -84,17 +88,18 @@ FaultPlan::FaultPlan(const FaultConfig& config, std::size_t num_executors,
          static_cast<std::size_t>(spec.executor) >= num_executors)) {
       throw ConfigError("faults.degrades: executor index out of range");
     }
-    if (spec.slowdown < 1.0) {
-      throw ConfigError("faults.degrades: slowdown must be >= 1.0");
+    if (!(spec.slowdown >= 1.0 && std::isfinite(spec.slowdown))) {
+      throw ConfigError(
+          "faults.degrades: slowdown must be finite and >= 1.0");
     }
   }
   if (config.heartbeat_interval <= SimTime{0}) {
     throw ConfigError("faults.heartbeat_interval must be positive");
   }
-  if (config.suspect_phi <= 0.0) {
+  if (!(config.suspect_phi > 0.0)) {
     throw ConfigError("faults.suspect_phi must be positive");
   }
-  if (config.dead_phi < config.suspect_phi) {
+  if (!(config.dead_phi >= config.suspect_phi)) {
     throw ConfigError("faults.dead_phi must be >= suspect_phi");
   }
   if (config.blacklist_threshold < 0) {

@@ -1,13 +1,14 @@
 // FaultPlan: the deterministic, seed-driven realization of a
 // FaultConfig for one run.
 //
-// Built once at driver construction: validates the knobs (ConfigError on
-// nonsense), resolves "random executor" crash targets, and owns the
-// dedicated RNG stream every later fault draw (transient failures, block
-// loss) comes from. Forking the stream off the base seed — rather than
-// sharing the driver's generator — is what keeps the base trace
-// unperturbed when faults are enabled, so parallel sweeps mixing faulty
-// and fault-free configs stay deterministic.
+// Built once by every driver: validates the knobs (ConfigError on
+// nonsense, NaN included), resolves "random executor" crash targets, and
+// owns the dedicated RNG stream every later fault draw (transient
+// failures, block loss) comes from. Forking the stream off the base seed
+// — rather than sharing the driver's generator — is what keeps the base
+// trace unperturbed when faults are configured, so parallel sweeps
+// mixing faulty and fault-free configs stay deterministic. The default
+// FaultConfig schedules nothing and draws nothing.
 #pragma once
 
 #include <cstdint>

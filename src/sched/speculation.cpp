@@ -8,12 +8,6 @@ namespace dagon {
 
 std::vector<SpeculationCandidate> speculation_candidates(
     const JobState& state, const std::vector<TaskRuntime>& running,
-    const SpeculationConfig& config, SimTime now) {
-  return speculation_candidates(state, running, {}, config, now);
-}
-
-std::vector<SpeculationCandidate> speculation_candidates(
-    const JobState& state, const std::vector<TaskRuntime>& running,
     const std::vector<bool>& impaired, const SpeculationConfig& config,
     SimTime now) {
   std::vector<SpeculationCandidate> out;

@@ -38,17 +38,12 @@ struct SpeculationCandidate {
 };
 
 /// Scans running (non-speculative) tasks for stragglers. `running`
-/// describes each in-flight task attempt.
-[[nodiscard]] std::vector<SpeculationCandidate> speculation_candidates(
-    const JobState& state, const std::vector<TaskRuntime>& running,
-    const SpeculationConfig& config, SimTime now);
-
-/// Gray-failure-aware variant: `impaired[i]` marks attempts running on a
-/// suspect or degraded executor. Impaired attempts skip the quantile
-/// gate and use a threshold of 1x the median — the attempt's executor is
-/// already under suspicion, so a copy is justified as soon as the
-/// attempt is merely slower than typical, not only when it is an extreme
-/// straggler. `impaired` may be empty (equivalent to all-false).
+/// describes each in-flight task attempt; `impaired[i]` marks attempts
+/// running on a suspect or degraded executor. Impaired attempts skip the
+/// quantile gate and use a threshold of 1x the median — the attempt's
+/// executor is already under suspicion, so a copy is justified as soon
+/// as the attempt is merely slower than typical, not only when it is an
+/// extreme straggler. `impaired` may be empty (equivalent to all-false).
 [[nodiscard]] std::vector<SpeculationCandidate> speculation_candidates(
     const JobState& state, const std::vector<TaskRuntime>& running,
     const std::vector<bool>& impaired, const SpeculationConfig& config,

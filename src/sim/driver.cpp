@@ -2,11 +2,12 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
+#include <limits>
 
 #include "common/error.hpp"
 #include "common/fsm.hpp"
 #include "common/log.hpp"
-#include "common/sorted_view.hpp"
 #include "dag/dag_analysis.hpp"
 #include "sched/task_locality.hpp"
 
@@ -38,28 +39,22 @@ SimDriver::SimDriver(const JobDag& dag, const JobProfile& profile,
       selector_(make_stage_selector(config.scheduler, dag, profile_,
                                     config.topology.cores_per_executor)),
       delay_(make_delay_policy(config.delay, config.waits, cost_,
-                               config.ect_slack)) {
+                               config.ect_slack)),
+      fault_plan_(config.faults, topo_.num_executors(), topo_.num_racks(),
+                  config.seed) {
   validate();
   // Release-build lifecycle enforcement: illegal transitions in
   // job_state / cache master / the driver itself land in these counters
   // and poison the fingerprint (see metrics_fingerprint).
   state_.set_fsm_violations(&metrics_.fsm.task);
   master_.set_fsm_violations(&metrics_.fsm.block);
-  if (config_.faults.enabled) {
-    fault_plan_.emplace(config_.faults, topo_.num_executors(),
-                        topo_.num_racks(), config_.seed);
-    faults_active_ = config_.faults.active();
-    gray_active_ = fault_plan_->monitors_heartbeats();
-    if (gray_active_) {
-      detector_.emplace(config_.faults.heartbeat_interval,
-                        config_.faults.suspect_phi, config_.faults.dead_phi);
-    }
-    metrics_.faults.per_executor.resize(topo_.num_executors());
+  if (fault_plan_.monitors_heartbeats()) {
+    detector_.emplace(config_.faults.heartbeat_interval,
+                      config_.faults.suspect_phi, config_.faults.dead_phi);
   }
-  hedge_active_ = config_.speculation.enabled && config_.speculation.hedge;
+  metrics_.faults.per_executor.resize(topo_.num_executors());
   if (config_.tail.enabled()) assign_speed_tiers();
-  escalate_active_ = config_.tail.enabled() && config_.tail.escalate;
-  if (escalate_active_) {
+  if (config_.tail.escalate) {
     // Mark the DAG's critical chain: stage s is critical when the
     // longest root-to-s prefix plus the cp-length through s spans the
     // whole critical path (so ties mark every maximal chain).
@@ -110,11 +105,6 @@ SimDriver::SimDriver(const JobDag& dag, const JobProfile& profile,
       }
     }
   }
-  produced_.resize(dag.num_stages());
-  for (const Stage& s : dag.stages()) {
-    produced_[static_cast<std::size_t>(s.id.value())].assign(
-        static_cast<std::size_t>(s.num_tasks), false);
-  }
   task_offset_.reserve(dag.num_stages());
   std::int64_t total_tasks = 0;
   for (const Stage& s : dag.stages()) {
@@ -158,30 +148,39 @@ void SimDriver::validate() const {
   if (config_.max_sim_time <= SimTime{0}) {
     throw ConfigError("max_sim_time must be positive");
   }
-  if (config_.duration_noise < 0.0) {
-    throw ConfigError("duration_noise must be non-negative");
+  if (config_.waits.process < SimTime{0} || config_.waits.node < SimTime{0} ||
+      config_.waits.rack < SimTime{0}) {
+    throw ConfigError("locality waits must be non-negative");
   }
-  if (config_.ect_slack <= 0.0) {
+  // Each floating-point check states what a valid value satisfies and
+  // negates it, so a NaN (for which every comparison is false) fails it.
+  // Factors that scale a SimTime must also be finite.
+  if (!(config_.duration_noise >= 0.0 &&
+        std::isfinite(config_.duration_noise))) {
+    throw ConfigError("duration_noise must be finite and non-negative");
+  }
+  if (!(config_.ect_slack > 0.0)) {
     throw ConfigError("ect_slack must be positive");
   }
-  if (config_.speculation.quantile < 0.0 ||
-      config_.speculation.quantile > 1.0) {
+  if (!(config_.speculation.quantile >= 0.0 &&
+        config_.speculation.quantile <= 1.0)) {
     throw ConfigError("speculation quantile must be in [0, 1]");
   }
-  if (config_.speculation.multiplier <= 0.0) {
-    throw ConfigError("speculation multiplier must be positive");
+  if (!(config_.speculation.multiplier > 0.0 &&
+        std::isfinite(config_.speculation.multiplier))) {
+    throw ConfigError("speculation multiplier must be finite and positive");
   }
   double tier_total = 0.0;
   // dagonlint: allow(float-accum): config validation over a fixed,
   // spec-ordered tier list; the sum never feeds back into the sim.
   for (const SimConfig::ExecTier& tier : config_.tail.tiers) {
-    if (tier.fraction < 0.0 || tier.fraction > 1.0) {
+    if (!(tier.fraction >= 0.0 && tier.fraction <= 1.0)) {
       throw ConfigError("exec tier '" + tier.name +
                         "' fraction must be in [0, 1]");
     }
-    if (tier.mult <= 0.0) {
+    if (!(tier.mult > 0.0 && std::isfinite(tier.mult))) {
       throw ConfigError("exec tier '" + tier.name +
-                        "' mult must be positive");
+                        "' mult must be finite and positive");
     }
     tier_total += tier.fraction;
   }
@@ -226,7 +225,7 @@ void SimDriver::validate() const {
     if (phase.at < SimTime{0} || phase.at <= prev) {
       throw ConfigError("capacity_phases must be sorted by time");
     }
-    if (phase.reserved_fraction < 0.0 || phase.reserved_fraction >= 1.0) {
+    if (!(phase.reserved_fraction >= 0.0 && phase.reserved_fraction < 1.0)) {
       throw ConfigError("reserved_fraction must be in [0, 1)");
     }
     prev = phase.at;
@@ -264,18 +263,16 @@ RunMetrics SimDriver::run() {
                       ExecutorId::invalid(), BlockId{},
                       static_cast<std::int32_t>(i)});
   }
-  if (faults_active_) {
-    for (const FaultPlan::Crash& c : fault_plan_->crashes()) {
-      queue_.push(Event{c.at, EventType::ExecutorCrash, TaskId::invalid(),
-                        c.exec, BlockId{}});
-    }
-    if (fault_plan_->samples_block_loss()) {
-      queue_.push(Event{config_.faults.block_loss_interval,
-                        EventType::FaultTick, TaskId::invalid(),
-                        ExecutorId::invalid(), BlockId{}});
-    }
+  for (const FaultPlan::Crash& c : fault_plan_.crashes()) {
+    queue_.push(Event{c.at, EventType::ExecutorCrash, TaskId::invalid(),
+                      c.exec, BlockId{}});
   }
-  if (gray_active_) {
+  if (fault_plan_.samples_block_loss()) {
+    queue_.push(Event{config_.faults.block_loss_interval,
+                      EventType::FaultTick, TaskId::invalid(),
+                      ExecutorId::invalid(), BlockId{}});
+  }
+  if (detector_) {
     for (const Executor& e : topo_.executors()) {
       detector_->track(e.id, SimTime{0});
       queue_.push(Event{config_.faults.heartbeat_interval,
@@ -298,7 +295,7 @@ RunMetrics SimDriver::run() {
       case EventType::TaskFinish:
         // A completion behind an active partition is invisible to the
         // driver until the partition heals.
-        if (gray_active_ && defer_partitioned_report(ev, now)) break;
+        if (detector_ && defer_partitioned_report(ev, now)) break;
         handle_task_finish(ev.task, now);
         break;
       case EventType::PrefetchDone:
@@ -309,10 +306,10 @@ RunMetrics SimDriver::run() {
         break;
       case EventType::Tick:
         if (!state_.all_finished()) {
-          if (gray_active_) evaluate_suspicions(now);
-          if (faults_active_) expire_blacklists(now);
+          if (detector_) evaluate_suspicions(now);
+          expire_blacklists(now);
           try_speculation(now);
-          if (escalate_active_) try_escalation(now);
+          if (config_.tail.escalate) try_escalation(now);
           if (config_.per_executor_profiles) sample_pending(now);
           queue_.push(Event{now + config_.tick_interval, EventType::Tick,
                             TaskId::invalid(), ExecutorId::invalid(),
@@ -323,7 +320,7 @@ RunMetrics SimDriver::run() {
         handle_executor_crash(ev.exec, now);
         break;
       case EventType::TaskFail:
-        if (gray_active_ && defer_partitioned_report(ev, now)) break;
+        if (detector_ && defer_partitioned_report(ev, now)) break;
         fail_attempt(ev.task, now, /*from_crash=*/false);
         break;
       case EventType::TaskRetry:
@@ -373,47 +370,41 @@ void SimDriver::schedule_loop(SimTime now) {
     progress = false;
     if (!state_.any_free_cores()) break;
     const std::vector<StageId> order = selector_->order(state_);
-    if (!fair) {
-      for (const StageId s : order) {
-        const auto a = delay_->find(state_, master_, s, now);
-        if (a) {
-          launch_task(s, *a, now, /*speculative=*/false);
-          progress = true;
-          break;
+    // Without fair share, one pass over every stage (job -1). Weighted
+    // fair share instead offers the next slot to jobs in ascending
+    // running_cores/weight order (exact int64 cross-multiplication; ties
+    // to the lower job index), falling through to the next job when a
+    // job has no admissible task — the loop stays work-conserving.
+    // Within one job, the stage selector's order is preserved.
+    job_order_.assign(1, -1);
+    if (fair) {
+      job_order_.clear();
+      for (std::size_t j = 0; j < jobs_.size(); ++j) {
+        if (jobs_[j].submitted && jobs_[j].unfinished_stages > 0) {
+          job_order_.push_back(static_cast<std::int32_t>(j));
         }
       }
-      continue;
+      std::sort(job_order_.begin(), job_order_.end(),
+                [&](std::int32_t a, std::int32_t b) {
+                  const auto ca = static_cast<std::int64_t>(
+                      jobs_[static_cast<std::size_t>(a)].running_cores.count());
+                  const auto cb = static_cast<std::int64_t>(
+                      jobs_[static_cast<std::size_t>(b)].running_cores.count());
+                  const auto wa = static_cast<std::int64_t>(
+                      config_.serving.jobs[static_cast<std::size_t>(a)]
+                          .weight);
+                  const auto wb = static_cast<std::int64_t>(
+                      config_.serving.jobs[static_cast<std::size_t>(b)]
+                          .weight);
+                  if (ca * wb != cb * wa) return ca * wb < cb * wa;
+                  return a < b;
+                });
     }
-    // Weighted fair share: offer the next slot to jobs in ascending
-    // running_cores/weight order (exact int64 cross-multiplication;
-    // ties to the lower job index), falling through to the next job
-    // when a job has no admissible task — the loop stays
-    // work-conserving. Within one job, the stage selector's order is
-    // preserved.
-    job_order_.clear();
-    for (std::size_t j = 0; j < jobs_.size(); ++j) {
-      if (jobs_[j].submitted && jobs_[j].unfinished_stages > 0) {
-        job_order_.push_back(static_cast<std::int32_t>(j));
-      }
-    }
-    std::sort(job_order_.begin(), job_order_.end(),
-              [&](std::int32_t a, std::int32_t b) {
-                const auto ca = static_cast<std::int64_t>(
-                    jobs_[static_cast<std::size_t>(a)].running_cores.count());
-                const auto cb = static_cast<std::int64_t>(
-                    jobs_[static_cast<std::size_t>(b)].running_cores.count());
-                const auto wa = static_cast<std::int64_t>(
-                    config_.serving.jobs[static_cast<std::size_t>(a)]
-                        .weight);
-                const auto wb = static_cast<std::int64_t>(
-                    config_.serving.jobs[static_cast<std::size_t>(b)]
-                        .weight);
-                if (ca * wb != cb * wa) return ca * wb < cb * wa;
-                return a < b;
-              });
     for (const std::int32_t j : job_order_) {
       for (const StageId s : order) {
-        if (stage_job_[static_cast<std::size_t>(s.value())] != j) continue;
+        if (j >= 0 && stage_job_[static_cast<std::size_t>(s.value())] != j) {
+          continue;
+        }
         const auto a = delay_->find(state_, master_, s, now);
         if (a) {
           launch_task(s, *a, now, /*speculative=*/false);
@@ -438,8 +429,7 @@ void SimDriver::launch_task(StageId s, const Assignment& a, SimTime now,
   // by the slowdown factor; a fetch whose best source sits across an
   // active partition stalls until the heal. Speed tiers compose
   // multiplicatively (a fast tier's mult < 1 speeds everything up).
-  const double degrade =
-      gray_active_ ? fault_plan_->degrade_factor(a.exec, now) : 1.0;
+  const double degrade = fault_plan_.degrade_factor(a.exec, now);
   const double slow = degrade * state_.executor(a.exec).speed_mult;
   SimTime partition_stall{};
   // Effective-hit accounting (LERC's metric): the read is effective only
@@ -452,11 +442,11 @@ void SimDriver::launch_task(StageId s, const Assignment& a, SimTime now,
     const auto lookup = master_.lookup(in.block, a.exec);
     const Rdd& rdd = dag_->rdd(in.block.rdd);
     bytes_by_source[static_cast<std::size_t>(lookup.source)] += in.bytes;
-    if (gray_active_) {
+    if (detector_) {
       const NodeId src_node = is_memory_source(lookup.source)
                                   ? topo_.node_of(lookup.holder)
                                   : lookup.disk_node;
-      const SimTime heal = fault_plan_->cross_partition_heal(
+      const SimTime heal = fault_plan_.cross_partition_heal(
           rack_of_exec(a.exec), topo_.rack_of(src_node), now);
       if (heal > now) {
         partition_stall = std::max(partition_stall, heal - now);
@@ -521,24 +511,23 @@ void SimDriver::launch_task(StageId s, const Assignment& a, SimTime now,
   // Heavy-tail injection: one dedicated-stream draw per attempt. The
   // multiplier sticks to THIS attempt only, so a hedge launched later
   // redraws and can genuinely escape the tail.
-  if (faults_active_ && fault_plan_->samples_heavy_tail() &&
-      fault_plan_->draw_heavy_tail()) {
+  if (fault_plan_.samples_heavy_tail() && fault_plan_.draw_heavy_tail()) {
     compute = scale_time(compute, config_.faults.heavy_tail_mult);
     ++metrics_.faults.heavy_tail_injections;
   }
 
   const TaskId id(static_cast<std::int64_t>(attempts_.size()));
-  AttemptRuntime attempt;
-  attempt.task.stage = s;
-  attempt.task.index = a.task_index;
-  fsm::transition(attempt.task.status, TaskStatus::Running, id.value(),
+  TaskRuntime attempt;
+  attempt.stage = s;
+  attempt.index = a.task_index;
+  fsm::transition(attempt.status, TaskStatus::Running, id.value(),
                   &metrics_.fsm.task);
-  attempt.task.executor = a.exec;
-  attempt.task.locality = a.locality;
-  attempt.task.launch_time = now;
-  attempt.task.fetch_time = fetch;
-  attempt.task.compute_time = compute;
-  attempt.task.speculative = speculative;
+  attempt.executor = a.exec;
+  attempt.locality = a.locality;
+  attempt.launch_time = now;
+  attempt.fetch_time = fetch;
+  attempt.compute_time = compute;
+  attempt.speculative = speculative;
   attempts_.push_back(attempt);
   attempt_next_.push_back(-1);
   const std::size_t ord = task_ord(s, a.task_index);
@@ -554,9 +543,9 @@ void SimDriver::launch_task(StageId s, const Assignment& a, SimTime now,
     DAGON_CHECK(state_.executor(a.exec).free_cores() >= demand);
     state_.add_free_cores(a.exec, -demand);
     ++state_.stage(s).running;
-    if (hedge_active_) ++metrics_.hedge.hedges_launched;
+    if (config_.speculation.hedge) ++metrics_.hedge.hedges_launched;
   } else {
-    if (escalate_active_) {
+    if (config_.tail.escalate) {
       stage_last_launch_[static_cast<std::size_t>(s.value())] = now;
     }
     state_.mark_launched(s, a.task_index, a.exec, now);
@@ -585,9 +574,9 @@ void SimDriver::launch_task(StageId s, const Assignment& a, SimTime now,
   // point of its lifetime instead of a TaskFinish.
   SimTime terminal_at = now + fetch + compute;
   EventType terminal = EventType::TaskFinish;
-  if (faults_active_ && fault_plan_->samples_task_failures() &&
-      fault_plan_->draw_task_failure()) {
-    const double point = fault_plan_->draw_failure_point();
+  if (fault_plan_.samples_task_failures() &&
+      fault_plan_.draw_task_failure()) {
+    const double point = fault_plan_.draw_failure_point();
     terminal_at =
         now + std::max(SimTime{1},
                        time_from_usec(point * static_cast<double>(
@@ -605,20 +594,21 @@ void SimDriver::launch_task(StageId s, const Assignment& a, SimTime now,
 void SimDriver::handle_task_finish(TaskId id, SimTime now) {
   DAGON_CHECK(id.valid() &&
               static_cast<std::size_t>(id.value()) < attempts_.size());
-  AttemptRuntime& attempt = attempts_[static_cast<std::size_t>(id.value())];
+  TaskRuntime& attempt = attempts_[static_cast<std::size_t>(id.value())];
   // Cancelled = lost a hedge/speculation race; Failed = crashed earlier.
   // Either way the attempt's terminal event is stale — ignore it.
-  if (attempt.task.status == TaskStatus::Cancelled) return;
-  if (attempt.task.status == TaskStatus::Failed) return;
-  DAGON_CHECK(attempt.task.status == TaskStatus::Running);
-  fsm::transition(attempt.task.status, TaskStatus::Finished, id.value(),
+  if (attempt.status == TaskStatus::Cancelled) return;
+  if (attempt.status == TaskStatus::Failed) return;
+  DAGON_CHECK(attempt.status == TaskStatus::Running);
+  fsm::transition(attempt.status, TaskStatus::Finished, id.value(),
                   &metrics_.fsm.task);
-  attempt.task.finish_time = now;
-  if (hedge_active_ && attempt.task.speculative) ++metrics_.hedge.hedges_won;
+  attempt.finish_time = now;
+  if (config_.speculation.hedge && attempt.speculative) {
+    ++metrics_.hedge.hedges_won;
+  }
 
-  const StageId s = attempt.task.stage;
-  const std::int32_t index = attempt.task.index;
-  const Cpus demand = dag_->stage(s).task_cpus;
+  const StageId s = attempt.stage;
+  const std::int32_t index = attempt.index;
 
   // Cancel the losing twin attempts before stage bookkeeping.
   for (std::int64_t other = attempt_first_[task_ord(s, index)]; other >= 0;
@@ -627,32 +617,16 @@ void SimDriver::handle_task_finish(TaskId id, SimTime now) {
     cancel_attempt(TaskId(other), now);
   }
 
-  const bool stage_done = state_.mark_finished(
-      s, index, attempt.task.executor, attempt.task.locality,
-      attempt.task.launch_time, now);
-  claim_reservation(attempt.task.executor, now);
-  if (serving_) {
-    jobs_[static_cast<std::size_t>(job_of(s))].running_cores -= demand;
-  }
-
-  metrics_.busy_cores.add(now, -static_cast<double>(demand.count()));
-  metrics_.running_tasks.add(now, -1.0);
-  if (config_.per_executor_profiles) {
-    metrics_
-        .executor_profiles[static_cast<std::size_t>(
-            attempt.task.executor.value())]
-        .busy_cores.add(now, -static_cast<double>(demand.count()));
-  }
-
-  // Materialize the output block exactly once per task index.
-  auto& produced = produced_[static_cast<std::size_t>(s.value())];
-  if (!produced[static_cast<std::size_t>(index)]) {
-    produced[static_cast<std::size_t>(index)] = true;
-    const Rdd& out = dag_->rdd(dag_->stage(s).output);
-    if (out.bytes_per_partition > Bytes{0}) {
-      master_.on_block_produced(BlockId{out.id, index},
-                                attempt.task.executor, now);
-    }
+  // The first finish of a task index moves it to Finished (its twins
+  // were just cancelled), so this is the one materialization of the
+  // index's output block until lineage recovery reopens it.
+  const bool stage_done =
+      state_.mark_finished(s, index, attempt.executor, attempt.locality,
+                           attempt.launch_time, now);
+  release_attempt(attempt, now);
+  const Rdd& out = dag_->rdd(dag_->stage(s).output);
+  if (out.bytes_per_partition > Bytes{0}) {
+    master_.on_block_produced(BlockId{out.id, index}, attempt.executor, now);
   }
 
   if (stage_done) {
@@ -676,35 +650,38 @@ void SimDriver::handle_task_finish(TaskId id, SimTime now) {
 }
 
 void SimDriver::cancel_attempt(TaskId id, SimTime now) {
-  AttemptRuntime& attempt = attempts_[static_cast<std::size_t>(id.value())];
-  if (attempt.task.status != TaskStatus::Running) return;
+  TaskRuntime& attempt = attempts_[static_cast<std::size_t>(id.value())];
+  if (attempt.status != TaskStatus::Running) return;
   // Cancellation-on-first-finish: the losing sibling is torn down
   // through the one sanctioned Running → Cancelled edge and its cores
   // return immediately; its in-flight terminal event later early-returns
   // on the Cancelled status.
-  fsm::transition(attempt.task.status, TaskStatus::Cancelled, id.value(),
+  fsm::transition(attempt.status, TaskStatus::Cancelled, id.value(),
                   &metrics_.fsm.task);
-  attempt.task.finish_time = now;
-  const Cpus demand = dag_->stage(attempt.task.stage).task_cpus;
-  if (hedge_active_) {
+  attempt.finish_time = now;
+  const Cpus demand = dag_->stage(attempt.stage).task_cpus;
+  if (config_.speculation.hedge) {
     ++metrics_.hedge.hedges_cancelled;
     // Work burned on the loser: cores held × time run (core-µs).
-    metrics_.hedge.wasted_core_us +=
-        demand * (now - attempt.task.launch_time);
+    metrics_.hedge.wasted_core_us += demand * (now - attempt.launch_time);
   }
-  state_.add_free_cores(attempt.task.executor, demand);
-  --state_.stage(attempt.task.stage).running;
-  claim_reservation(attempt.task.executor, now);
+  state_.add_free_cores(attempt.executor, demand);
+  --state_.stage(attempt.stage).running;
+  release_attempt(attempt, now);
+}
+
+void SimDriver::release_attempt(const TaskRuntime& attempt, SimTime now) {
+  const Cpus demand = dag_->stage(attempt.stage).task_cpus;
+  claim_reservation(attempt.executor, now);
   if (serving_) {
-    jobs_[static_cast<std::size_t>(job_of(attempt.task.stage))]
-        .running_cores -= demand;
+    jobs_[static_cast<std::size_t>(job_of(attempt.stage))].running_cores -=
+        demand;
   }
   metrics_.busy_cores.add(now, -static_cast<double>(demand.count()));
   metrics_.running_tasks.add(now, -1.0);
   if (config_.per_executor_profiles) {
-    metrics_
-        .executor_profiles[static_cast<std::size_t>(
-            attempt.task.executor.value())]
+    metrics_.executor_profiles[static_cast<std::size_t>(
+                                   attempt.executor.value())]
         .busy_cores.add(now, -static_cast<double>(demand.count()));
   }
 }
@@ -788,16 +765,13 @@ void SimDriver::try_speculation(SimTime now) {
   if (!config_.speculation.enabled) return;
   std::vector<TaskRuntime> running;
   std::vector<bool> impaired;
-  for (const AttemptRuntime& a : attempts_) {
-    if (a.task.status == TaskStatus::Running) {
-      running.push_back(a.task);
+  for (const TaskRuntime& a : attempts_) {
+    if (a.status == TaskStatus::Running) {
+      running.push_back(a);
       // Attempts on suspect or degraded executors are straggler
       // candidates with a relaxed threshold (gray-failure defense).
-      if (gray_active_) {
-        impaired.push_back(
-            state_.executor(a.task.executor).suspect() ||
-            fault_plan_->degrade_factor(a.task.executor, now) > 1.0);
-      }
+      impaired.push_back(state_.executor(a.executor).suspect() ||
+                         fault_plan_.degrade_factor(a.executor, now) > 1.0);
     }
   }
   for (const SpeculationCandidate& c : speculation_candidates(
@@ -806,8 +780,8 @@ void SimDriver::try_speculation(SimTime now) {
     bool has_copy = false;
     for (std::int64_t id = attempt_first_[task_ord(c.stage, c.task_index)];
          id >= 0; id = attempt_next_[static_cast<std::size_t>(id)]) {
-      const AttemptRuntime& a = attempts_[static_cast<std::size_t>(id)];
-      if (a.task.status == TaskStatus::Running && a.task.speculative) {
+      const TaskRuntime& a = attempts_[static_cast<std::size_t>(id)];
+      if (a.status == TaskStatus::Running && a.speculative) {
         has_copy = true;
         break;
       }
@@ -816,58 +790,54 @@ void SimDriver::try_speculation(SimTime now) {
     // Under faults the candidate's inputs may have just died with an
     // executor; the recompute is pending and a copy launched now would
     // read a missing block.
-    if (faults_active_) {
-      bool inputs_ok = true;
-      for (const TaskInput& in :
-           dag_->task_inputs(c.stage, c.task_index)) {
-        if (!master_.exists(in.block)) {
-          inputs_ok = false;
-          break;
-        }
-      }
-      if (!inputs_ok) continue;
-    }
+    if (!inputs_exist(c.stage, c.task_index)) continue;
     // Place the copy on the free executor with the best locality for the
     // task's input data (§IV: "close to the input data"). Hedge mode
     // instead optimizes the straggler escape: never co-locate with a
     // live sibling attempt, fastest tier first, locality as tiebreak.
-    const Cpus demand = dag_->stage(c.stage).task_cpus;
-    const auto hosts_live_sibling = [&](ExecutorId exec) {
-      for (std::int64_t id =
-               attempt_first_[task_ord(c.stage, c.task_index)];
-           id >= 0; id = attempt_next_[static_cast<std::size_t>(id)]) {
-        const AttemptRuntime& a = attempts_[static_cast<std::size_t>(id)];
-        if (a.task.status == TaskStatus::Running &&
-            a.task.executor == exec) {
-          return true;
-        }
-      }
-      return false;
-    };
-    std::optional<Assignment> best;
-    double best_mult = 0.0;
-    for (const ExecutorRuntime& e : state_.executors()) {
-      if (!e.schedulable(now)) continue;
-      if (e.free_cores() < demand) continue;
-      if (hedge_active_ && hosts_live_sibling(e.id)) continue;
-      const Locality l = task_locality_on(*dag_, master_, topo_, c.stage,
-                                          c.task_index, e.id);
-      if (hedge_active_) {
-        if (!best || e.speed_mult < best_mult ||
-            (e.speed_mult == best_mult &&
-             static_cast<int>(l) < static_cast<int>(best->locality))) {
-          best = Assignment{c.task_index, e.id, l};
-          best_mult = e.speed_mult;
-        }
-      } else if (!best ||
-                 static_cast<int>(l) < static_cast<int>(best->locality)) {
-        best = Assignment{c.task_index, e.id, l};
-      }
+    const auto best =
+        place_copy(c.stage, c.task_index, now, config_.speculation.hedge,
+                   std::numeric_limits<double>::infinity());
+    if (best) launch_task(c.stage, *best, now, /*speculative=*/true);
+  }
+}
+
+std::optional<Assignment> SimDriver::place_copy(
+    StageId s, std::int32_t index, SimTime now, bool by_tier,
+    double mult_below) const {
+  const Cpus demand = dag_->stage(s).task_cpus;
+  const auto hosts_live_attempt = [&](ExecutorId exec) {
+    for (std::int64_t id = attempt_first_[task_ord(s, index)]; id >= 0;
+         id = attempt_next_[static_cast<std::size_t>(id)]) {
+      const TaskRuntime& a = attempts_[static_cast<std::size_t>(id)];
+      if (a.status == TaskStatus::Running && a.executor == exec) return true;
     }
-    if (best) {
-      launch_task(c.stage, *best, now, /*speculative=*/true);
+    return false;
+  };
+  std::optional<Assignment> best;
+  double best_mult = 1.0;
+  for (const ExecutorRuntime& e : state_.executors()) {
+    if (!e.schedulable(now) || e.free_cores() < demand) continue;
+    if (by_tier && (e.speed_mult >= mult_below || hosts_live_attempt(e.id))) {
+      continue;
+    }
+    const Locality l = task_locality_on(*dag_, master_, topo_, s, index, e.id);
+    const double mult = by_tier ? e.speed_mult : 1.0;
+    if (!best || mult < best_mult ||
+        (mult == best_mult &&
+         static_cast<int>(l) < static_cast<int>(best->locality))) {
+      best = Assignment{index, e.id, l};
+      best_mult = mult;
     }
   }
+  return best;
+}
+
+bool SimDriver::inputs_exist(StageId s, std::int32_t index) const {
+  for (const TaskInput& in : dag_->task_inputs(s, index)) {
+    if (!master_.exists(in.block)) return false;
+  }
+  return true;
 }
 
 void SimDriver::assign_speed_tiers() {
@@ -912,35 +882,11 @@ void SimDriver::try_escalation(SimTime now) {
     if (since < SimTime{0} || now - since < config_.tail.escalation_wait) {
       continue;
     }
-    const Cpus demand = dag_->stage(s).task_cpus;
     const std::int32_t index = *rt.pending.begin();
-    if (faults_active_) {
-      bool inputs_ok = true;
-      for (const TaskInput& in : dag_->task_inputs(s, index)) {
-        if (!master_.exists(in.block)) {
-          inputs_ok = false;
-          break;
-        }
-      }
-      if (!inputs_ok) continue;
-    }
+    if (!inputs_exist(s, index)) continue;
     // Only escalate onto a strictly faster tier — an escalation onto
     // baseline hardware is just a worse-locality ordinary launch.
-    std::optional<Assignment> best;
-    double best_mult = 1.0;
-    for (const ExecutorRuntime& e : state_.executors()) {
-      if (!e.schedulable(now)) continue;
-      if (e.free_cores() < demand) continue;
-      if (e.speed_mult >= 1.0) continue;
-      const Locality l =
-          task_locality_on(*dag_, master_, topo_, s, index, e.id);
-      if (!best || e.speed_mult < best_mult ||
-          (e.speed_mult == best_mult &&
-           static_cast<int>(l) < static_cast<int>(best->locality))) {
-        best = Assignment{index, e.id, l};
-        best_mult = e.speed_mult;
-      }
-    }
+    const auto best = place_copy(s, index, now, /*by_tier=*/true, 1.0);
     if (!best) continue;
     ++metrics_.hedge.escalations;
     launch_task(s, *best, now, /*speculative=*/false);
@@ -962,7 +908,7 @@ void SimDriver::handle_executor_crash(ExecutorId exec, SimTime now) {
   e.blacklist_failures = 0;
   if (detector_) detector_->stop(exec);
   ++metrics_.faults.executor_crashes;
-  if (!metrics_.faults.per_executor.empty()) ++exec_faults(exec).crashes;
+  ++exec_faults(exec).crashes;
   DAGON_DEBUG("t=" << format_duration(now) << " executor " << exec
                    << " crashed");
 
@@ -970,8 +916,8 @@ void SimDriver::handle_executor_crash(ExecutorId exec, SimTime now) {
   // the still-alive bookkeeping, schedules retries).
   std::vector<TaskId> victims;
   for (std::size_t i = 0; i < attempts_.size(); ++i) {
-    const AttemptRuntime& a = attempts_[i];
-    if (a.task.status == TaskStatus::Running && a.task.executor == exec) {
+    const TaskRuntime& a = attempts_[i];
+    if (a.status == TaskStatus::Running && a.executor == exec) {
       victims.push_back(TaskId(static_cast<std::int64_t>(i)));
     }
   }
@@ -1009,49 +955,33 @@ void SimDriver::handle_executor_crash(ExecutorId exec, SimTime now) {
 void SimDriver::fail_attempt(TaskId id, SimTime now, bool from_crash) {
   DAGON_CHECK(id.valid() &&
               static_cast<std::size_t>(id.value()) < attempts_.size());
-  AttemptRuntime& attempt = attempts_[static_cast<std::size_t>(id.value())];
-  if (attempt.task.status != TaskStatus::Running) {
+  TaskRuntime& attempt = attempts_[static_cast<std::size_t>(id.value())];
+  if (attempt.status != TaskStatus::Running) {
     return;  // lost a speculation race / already failed via the crash
   }
-  fsm::transition(attempt.task.status, TaskStatus::Failed, id.value(),
+  fsm::transition(attempt.status, TaskStatus::Failed, id.value(),
                   &metrics_.fsm.task);
-  attempt.task.finish_time = now;
+  attempt.finish_time = now;
 
-  const StageId s = attempt.task.stage;
-  const std::int32_t index = attempt.task.index;
-  const Cpus demand = dag_->stage(s).task_cpus;
-  state_.add_free_cores(attempt.task.executor, demand);
+  const StageId s = attempt.stage;
+  const std::int32_t index = attempt.index;
+  state_.add_free_cores(attempt.executor, dag_->stage(s).task_cpus);
   --state_.stage(s).running;
-  claim_reservation(attempt.task.executor, now);
-  if (serving_) {
-    jobs_[static_cast<std::size_t>(job_of(s))].running_cores -= demand;
-  }
-
-  metrics_.busy_cores.add(now, -static_cast<double>(demand.count()));
-  metrics_.running_tasks.add(now, -1.0);
-  if (config_.per_executor_profiles) {
-    metrics_
-        .executor_profiles[static_cast<std::size_t>(
-            attempt.task.executor.value())]
-        .busy_cores.add(now, -static_cast<double>(demand.count()));
-  }
+  release_attempt(attempt, now);
   if (from_crash) {
     ++metrics_.faults.crash_failures;
   } else {
     ++metrics_.faults.transient_failures;
-    if (!metrics_.faults.per_executor.empty()) {
-      ++exec_faults(attempt.task.executor).transient_failures;
-    }
-    note_attempt_failure(attempt.task.executor, now);
+    ++exec_faults(attempt.executor).transient_failures;
+    note_attempt_failure(attempt.executor, now);
   }
   DAGON_DEBUG("t=" << format_duration(now) << " stage " << s << " task "
-                   << index << " failed on exec " << attempt.task.executor
+                   << index << " failed on exec " << attempt.executor
                    << (from_crash ? " (executor crash)" : " (transient)"));
 
   // Retry only when nothing else can still complete the index: no twin
-  // attempt running, output not already produced.
-  if (!produced_[static_cast<std::size_t>(s.value())]
-               [static_cast<std::size_t>(index)] &&
+  // attempt running, index not already finished.
+  if (state_.stage(s).status_of(index) != TaskStatus::Finished &&
       !has_live_attempt(s, index)) {
     // Nothing can still complete the index: it fails at the task level
     // too (Running → Failed); the retry requeue moves it back to
@@ -1066,7 +996,7 @@ void SimDriver::schedule_retry(StageId s, std::int32_t index, SimTime now) {
   if (count >= config_.faults.max_task_retries) {
     throw InvariantError("task exceeded max_task_retries — job failed");
   }
-  const SimTime backoff = fault_plan_->retry_backoff(count);
+  const SimTime backoff = fault_plan_.retry_backoff(count);
   ++count;
   ++metrics_.faults.retries;
   queue_.push(Event{now + backoff, EventType::TaskRetry, TaskId::invalid(),
@@ -1077,10 +1007,7 @@ void SimDriver::handle_task_retry(StageId s, std::int32_t index,
                                   SimTime now) {
   // The index may have completed (a twin finished), be running again, or
   // have been re-queued by lineage recovery while the backoff ran.
-  if (produced_[static_cast<std::size_t>(s.value())]
-              [static_cast<std::size_t>(index)]) {
-    return;
-  }
+  if (state_.stage(s).status_of(index) == TaskStatus::Finished) return;
   if (has_live_attempt(s, index)) return;
   if (state_.stage(s).pending.contains(index)) return;
   // A crash between failure and retry may have destroyed the inputs.
@@ -1108,8 +1035,8 @@ void SimDriver::handle_fault_tick(SimTime now) {
       cached.push_back(be.id);
     }
     for (const BlockId& block : cached) {
-      if (!fault_plan_->draw_block_loss(master_.block_bytes(block),
-                                        interval)) {
+      if (!fault_plan_.draw_block_loss(master_.block_bytes(block),
+                                       interval)) {
         continue;
       }
       // Memory-only loss: the durable disk copy survives, so no
@@ -1142,11 +1069,9 @@ void SimDriver::recover_block(const BlockId& block, SimTime now) {
                   "lost block " << block << " has no producer stage");
   const StageId s = *producer;
   const std::int32_t p = block.partition;
-  auto& produced = produced_[static_cast<std::size_t>(s.value())];
-  if (!produced[static_cast<std::size_t>(p)]) {
+  if (state_.stage(s).status_of(p) != TaskStatus::Finished) {
     return;  // recompute already pending (or running)
   }
-  produced[static_cast<std::size_t>(p)] = false;
   const bool was_finished = state_.stage(s).finished;
   state_.reopen_task(s, p);
   oracle_.restore_task_refs(s, p);
@@ -1168,8 +1093,10 @@ void SimDriver::recover_block(const BlockId& block, SimTime now) {
 bool SimDriver::has_live_attempt(StageId s, std::int32_t index) const {
   for (std::int64_t id = attempt_first_[task_ord(s, index)]; id >= 0;
        id = attempt_next_[static_cast<std::size_t>(id)]) {
-    const AttemptRuntime& a = attempts_[static_cast<std::size_t>(id)];
-    if (a.task.status == TaskStatus::Running) return true;
+    if (attempts_[static_cast<std::size_t>(id)].status ==
+        TaskStatus::Running) {
+      return true;
+    }
   }
   return false;
 }
@@ -1177,20 +1104,19 @@ bool SimDriver::has_live_attempt(StageId s, std::int32_t index) const {
 bool SimDriver::defer_partitioned_report(const Event& e, SimTime now) {
   DAGON_CHECK(e.task.valid() &&
               static_cast<std::size_t>(e.task.value()) < attempts_.size());
-  const AttemptRuntime& a =
-      attempts_[static_cast<std::size_t>(e.task.value())];
+  const TaskRuntime& a = attempts_[static_cast<std::size_t>(e.task.value())];
   // Cancelled / already-failed attempts fall through to the handler's
   // normal early-return; only a live attempt's report can be held back.
-  if (a.task.status != TaskStatus::Running) return false;
+  if (a.status != TaskStatus::Running) return false;
   const SimTime heal =
-      fault_plan_->partitioned_until(rack_of_exec(a.task.executor), now);
+      fault_plan_.partitioned_until(rack_of_exec(a.executor), now);
   if (heal <= now) return false;
   ++metrics_.faults.deferred_reports;
   Event deferred = e;
   deferred.time = heal;  // re-examined at heal (partitions may overlap)
   queue_.push(deferred);
   DAGON_TRACE("t=" << format_duration(now) << " deferring report of stage "
-                   << a.task.stage << " task " << a.task.index
+                   << a.stage << " task " << a.index
                    << " to heal at " << format_duration(heal));
   return true;
 }
@@ -1200,7 +1126,7 @@ void SimDriver::handle_heartbeat(ExecutorId exec, SimTime now) {
   // Dead executors emit no heartbeats; a late declared-dead executor
   // never re-registers (Spark would refuse the stale executor id too).
   if (!e.alive()) return;
-  if (fault_plan_->partitioned_until(rack_of_exec(exec), now) > now) {
+  if (fault_plan_.partitioned_until(rack_of_exec(exec), now) > now) {
     ++metrics_.faults.heartbeats_dropped;
   } else {
     detector_->record_heartbeat(exec, now);
@@ -1210,7 +1136,7 @@ void SimDriver::handle_heartbeat(ExecutorId exec, SimTime now) {
   }
   // The emission cadence itself degrades with the executor: a slowed
   // executor heartbeats late, which is exactly what makes it suspicious.
-  const double slow = fault_plan_->degrade_factor(exec, now);
+  const double slow = fault_plan_.degrade_factor(exec, now);
   const SimTime interval =
       scale_time(config_.faults.heartbeat_interval, slow);
   queue_.push(Event{now + interval, EventType::Heartbeat, TaskId::invalid(),
@@ -1412,10 +1338,10 @@ void SimDriver::verify_quiescent() const {
   master_.verify_residency();
   DAGON_CHECK_MSG(!metrics_.fsm.any(),
                   "end of run: lifecycle transition breaches counted");
-  for (const AttemptRuntime& a : attempts_) {
-    DAGON_CHECK_MSG(a.task.status != TaskStatus::Running,
+  for (const TaskRuntime& a : attempts_) {
+    DAGON_CHECK_MSG(a.status != TaskStatus::Running,
                     "end of run: attempt of stage "
-                        << a.task.stage << " task " << a.task.index
+                        << a.stage << " task " << a.index
                         << " still running");
   }
   if (config_.per_executor_profiles) {
@@ -1475,19 +1401,19 @@ void SimDriver::finalize_metrics(SimTime end) {
   }
 
   metrics_.tasks.reserve(attempts_.size());
-  for (const AttemptRuntime& a : attempts_) {
+  for (const TaskRuntime& a : attempts_) {
     TaskRecord record;
-    record.stage = a.task.stage;
-    record.index = a.task.index;
-    record.exec = a.task.executor;
-    record.locality = a.task.locality;
-    record.launch = a.task.launch_time;
-    record.finish = a.task.finish_time;
-    record.fetch_time = a.task.fetch_time;
-    record.compute_time = a.task.compute_time;
-    record.speculative = a.task.speculative;
-    record.cancelled = a.task.status == TaskStatus::Cancelled;
-    record.failed = a.task.status == TaskStatus::Failed;
+    record.stage = a.stage;
+    record.index = a.index;
+    record.exec = a.executor;
+    record.locality = a.locality;
+    record.launch = a.launch_time;
+    record.finish = a.finish_time;
+    record.fetch_time = a.fetch_time;
+    record.compute_time = a.compute_time;
+    record.speculative = a.speculative;
+    record.cancelled = a.status == TaskStatus::Cancelled;
+    record.failed = a.status == TaskStatus::Failed;
     metrics_.tasks.push_back(record);
   }
 

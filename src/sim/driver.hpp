@@ -42,6 +42,11 @@ class SimDriver {
                    bool speculative);
   void handle_task_finish(TaskId id, SimTime now);
   void cancel_attempt(TaskId id, SimTime now);
+  /// Bookkeeping shared by every attempt end (finish, cancel, fail), run
+  /// once the attempt's cores are back on its executor: a pending
+  /// reservation claims them, and the job's running cores, the busy and
+  /// running timelines and the executor profile drop the attempt.
+  void release_attempt(const TaskRuntime& attempt, SimTime now);
   void handle_prefetch_done(const Event& e, SimTime now);
   /// Applies SimConfig::capacity_phases[index]: re-targets per-executor
   /// tenant reservations, claiming free cores now and task completions
@@ -52,6 +57,15 @@ class SimDriver {
   void claim_reservation(ExecutorId exec, SimTime now);
   void issue_prefetches(SimTime now);
   void try_speculation(SimTime now);
+  /// Executor for an extra attempt of (s, index): schedulable, with room
+  /// for the task. With `by_tier` the fastest speed tier below
+  /// `mult_below` wins, never one already running an attempt of the
+  /// index, and locality breaks ties; otherwise locality alone decides.
+  [[nodiscard]] std::optional<Assignment> place_copy(
+      StageId s, std::int32_t index, SimTime now, bool by_tier,
+      double mult_below) const;
+  /// Every input block of (s, index) still exists somewhere.
+  [[nodiscard]] bool inputs_exist(StageId s, std::int32_t index) const;
   // -- tail tolerance -----------------------------------------------------
   /// Assigns a speed tier (TailConfig::tiers) to each executor at
   /// construction, from a dedicated forked RNG stream.
@@ -151,35 +165,25 @@ class SimDriver {
   std::unique_ptr<StageSelector> selector_;
   std::unique_ptr<DelayPolicy> delay_;
   EventQueue queue_;
-  /// Present iff config_.faults.enabled (construction validates knobs).
-  std::optional<FaultPlan> fault_plan_;
-  /// True when the plan can actually perturb the run.
-  bool faults_active_ = false;
-  /// True when the gray layer runs: heartbeats are emitted and the
-  /// suspicion detector classifies executors.
-  bool gray_active_ = false;
-  /// Present iff gray_active_.
+  /// Resolved fault schedule and fault RNG streams (construction
+  /// validates the knobs). The default config schedules nothing and
+  /// draws nothing.
+  FaultPlan fault_plan_;
+  /// Present iff the gray layer runs (FaultConfig::gray_active()):
+  /// heartbeats are emitted and the detector classifies executors.
   std::optional<FailureDetector> detector_;
   // -- tail-tolerance state -----------------------------------------------
-  /// True when hedged speculation is on (speculation.enabled && hedge):
-  /// losing attempts go Running → Cancelled and HedgeStats is kept.
-  bool hedge_active_ = false;
-  /// True when tier escalation runs (tiers configured && tail.escalate).
-  bool escalate_active_ = false;
   /// stage id -> 1 when the stage sits on the DAG's critical path
-  /// (longest cp-length chain); sized only when escalation is active.
+  /// (longest cp-length chain); sized only when tail.escalate is set.
   std::vector<char> stage_critical_;
   /// Last non-speculative launch time per stage (-1 = none yet); the
   /// escalation wait runs from max(ready_time, last launch).
   std::vector<SimTime> stage_last_launch_;
 
-  /// One task attempt. The attempt's own lifecycle lives in
-  /// task.status; `Cancelled` marks a hedge/speculation loser torn down
-  /// when a sibling finished first.
-  struct AttemptRuntime {
-    TaskRuntime task;
-  };
-  std::vector<AttemptRuntime> attempts_;  // indexed by TaskId
+  /// Task attempts, indexed by TaskId. An attempt's own lifecycle lives
+  /// in its status; `Cancelled` marks a hedge/speculation loser torn
+  /// down when a sibling finished first.
+  std::vector<TaskRuntime> attempts_;
   /// task_offset_[s] = global ordinal of stage s's task 0 (see task_ord).
   std::vector<std::int64_t> task_offset_;
   /// Attempt chain per task ordinal (speculation twins, retries): an
@@ -188,8 +192,6 @@ class SimDriver {
   std::vector<std::int64_t> attempt_first_;
   std::vector<std::int64_t> attempt_last_;
   std::vector<std::int64_t> attempt_next_;  // parallel to attempts_
-  /// per stage: which task indices have produced their output block.
-  std::vector<std::vector<bool>> produced_;
   /// 1 = a prefetch of this block ordinal is in flight somewhere.
   std::vector<char> prefetch_inflight_;
   /// failures so far per task ordinal, for retry backoff / the cap.

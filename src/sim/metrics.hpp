@@ -135,8 +135,8 @@ struct FaultStats {
   std::int64_t proactive_rereplications = 0;
   Bytes rereplicated_bytes{};
 
-  /// Per-executor fault breakdown (fault-stats table, bench CSVs).
-  /// Sized to the cluster only when faults are enabled.
+  /// Per-executor fault breakdown (fault-stats table, bench CSVs), one
+  /// row per executor.
   struct PerExecutor {
     std::int64_t crashes = 0;
     std::int64_t transient_failures = 0;

@@ -4,7 +4,6 @@
 
 #include "common/csv.hpp"
 #include "common/table.hpp"
-#include "common/error.hpp"
 
 namespace dagon {
 

@@ -2,7 +2,10 @@
 // base/unused.hpp contributes nothing referenced here — dead-include.
 #include "base/unused.hpp"
 #include "mid/widget.hpp"
-int main() {
+namespace arch {
+int run() {
   Widget w;
   return w.size;
 }
+}  // namespace arch
+int main() { return arch::run(); }

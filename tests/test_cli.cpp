@@ -96,6 +96,17 @@ TEST(Cli, MalformedValuesExitTwo) {
            "--fault-degrade 10:20:abc",
            "--heartbeat-interval -",
            "--blacklist-threshold 2.5",
+           // Non-finite numbers, and seconds that overflow SimTime.
+           "--wait nan",
+           "--wait 1e300",
+           "--fault-degrade 1:5:nan",
+           "--exec-tiers a:nan:1",
+           "--noise nan",
+           "--fault-task-fail nan",
+           "--fault-block-loss inf",
+           "--heavy-tail-prob nan",
+           "--heartbeat-suspect nan",
+           "--fault-crash 1e300",
            "--preset nope",
            // Negative counts would wrap to SIZE_MAX.
            "--serve-jobs -1",

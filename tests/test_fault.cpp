@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 
 #include "core/presets.hpp"
 #include "core/runner.hpp"
@@ -15,50 +16,52 @@
 namespace dagon {
 namespace {
 
-// --- FaultPlan --------------------------------------------------------------
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
-FaultConfig enabled_faults() {
-  FaultConfig f;
-  f.enabled = true;
-  return f;
-}
+// --- FaultPlan --------------------------------------------------------------
 
 TEST(FaultPlan, RejectsBadKnobs) {
   auto plan = [](FaultConfig f) { return FaultPlan(f, 4, 1, 1); };
-  FaultConfig f = enabled_faults();
+  FaultConfig f = FaultConfig{};
   f.task_fail_prob = 1.0;
   EXPECT_THROW(plan(f), ConfigError);
-  f = enabled_faults();
+  f = FaultConfig{};
   f.task_fail_prob = -0.1;
   EXPECT_THROW(plan(f), ConfigError);
-  f = enabled_faults();
+  f = FaultConfig{};
+  f.task_fail_prob = kNaN;
+  EXPECT_THROW(plan(f), ConfigError);
+  f = FaultConfig{};
   f.block_loss_per_gb_hour = -1.0;
   EXPECT_THROW(plan(f), ConfigError);
-  f = enabled_faults();
+  f = FaultConfig{};
+  f.block_loss_per_gb_hour = kNaN;
+  EXPECT_THROW(plan(f), ConfigError);
+  f = FaultConfig{};
   f.block_loss_interval = SimTime{0};
   EXPECT_THROW(plan(f), ConfigError);
-  f = enabled_faults();
+  f = FaultConfig{};
   f.retry_backoff_base = SimTime{0};
   EXPECT_THROW(plan(f), ConfigError);
-  f = enabled_faults();
+  f = FaultConfig{};
   f.retry_backoff_cap = f.retry_backoff_base / 2;
   EXPECT_THROW(plan(f), ConfigError);
-  f = enabled_faults();
+  f = FaultConfig{};
   f.max_task_retries = 0;
   EXPECT_THROW(plan(f), ConfigError);
-  f = enabled_faults();
+  f = FaultConfig{};
   f.crashes.push_back({-kSec, 0});
   EXPECT_THROW(plan(f), ConfigError);
-  f = enabled_faults();
+  f = FaultConfig{};
   f.crashes.push_back({kSec, 7});  // only executors 0..3 exist
   EXPECT_THROW(plan(f), ConfigError);
-  f = enabled_faults();
+  f = FaultConfig{};
   for (int i = 0; i < 4; ++i) f.crashes.push_back({kSec, -1});
   EXPECT_THROW(plan(f), ConfigError);  // would crash the whole cluster
 }
 
 TEST(FaultPlan, ResolvesRandomTargetsToDistinctExecutors) {
-  FaultConfig f = enabled_faults();
+  FaultConfig f = FaultConfig{};
   f.crashes = {{30 * kSec, -1}, {10 * kSec, -1}, {20 * kSec, -1}};
   const FaultPlan plan(f, 4, 1, 42);
   ASSERT_EQ(plan.crashes().size(), 3u);
@@ -83,7 +86,7 @@ TEST(FaultPlan, ResolvesRandomTargetsToDistinctExecutors) {
 }
 
 TEST(FaultPlan, BackoffIsCappedExponential) {
-  FaultConfig f = enabled_faults();
+  FaultConfig f = FaultConfig{};
   f.retry_backoff_base = kSec;
   f.retry_backoff_cap = 30 * kSec;
   FaultPlan plan(f, 4, 1, 1);
@@ -129,8 +132,30 @@ TEST(SimConfigValidation, RejectsOutOfRangeKnobs) {
   config.max_sim_time = SimTime{0};
   expect_rejected(config);
   config = fault_test_cluster();
-  config.faults.enabled = true;
   config.faults.task_fail_prob = 2.0;
+  expect_rejected(config);
+  config = fault_test_cluster();
+  config.waits.node = -kSec;
+  expect_rejected(config);
+  // NaN passes a range check written `x < lo || x > hi`; every check
+  // must reject it instead.
+  config = fault_test_cluster();
+  config.duration_noise = kNaN;
+  expect_rejected(config);
+  config = fault_test_cluster();
+  config.ect_slack = kNaN;
+  expect_rejected(config);
+  config = fault_test_cluster();
+  config.speculation.quantile = kNaN;
+  expect_rejected(config);
+  config = fault_test_cluster();
+  config.speculation.multiplier = kNaN;
+  expect_rejected(config);
+  config = fault_test_cluster();
+  config.capacity_phases = {{kSec, kNaN}};
+  expect_rejected(config);
+  config = fault_test_cluster();
+  config.faults.task_fail_prob = kNaN;
   expect_rejected(config);
 }
 
@@ -141,8 +166,19 @@ TEST(FaultRecovery, ZeroKnobFaultConfigIsBitIdentical) {
   SimConfig off = fault_test_cluster();
   const RunMetrics a = run_workload(w, off).metrics;
 
+  // Every knob that cannot fire a fault by itself moves off its default;
+  // with no schedule and every rate at zero, nothing may fire.
   SimConfig zeroed = fault_test_cluster();
-  zeroed.faults.enabled = true;  // enabled, but nothing can fire
+  zeroed.faults.heavy_tail_mult = 3.0;
+  zeroed.faults.block_loss_interval = 7 * kSec;
+  zeroed.faults.retry_backoff_base = 2 * kSec;
+  zeroed.faults.retry_backoff_cap = 9 * kSec;
+  zeroed.faults.max_task_retries = 5;
+  zeroed.faults.heartbeat_interval = 3 * kSec;
+  zeroed.faults.suspect_phi = 0.5;
+  zeroed.faults.dead_phi = 2.0;
+  zeroed.faults.blacklist_threshold = 1;
+  zeroed.faults.blacklist_probation = 5 * kSec;
   const RunMetrics b = run_workload(w, zeroed).metrics;
   EXPECT_EQ(metrics_fingerprint(a), metrics_fingerprint(b));
   EXPECT_FALSE(b.faults.any());
@@ -151,7 +187,6 @@ TEST(FaultRecovery, ZeroKnobFaultConfigIsBitIdentical) {
 TEST(FaultRecovery, CompletesUnderExecutorCrash) {
   const Workload w = make_example_dag();
   SimConfig config = fault_test_cluster();
-  config.faults.enabled = true;
   config.faults.crashes = {{120 * kSec, 0}};
   const RunMetrics m = run_workload(w, config).metrics;
   EXPECT_EQ(m.faults.executor_crashes, 1);
@@ -167,7 +202,6 @@ TEST(FaultRecovery, CompletesUnderExecutorCrash) {
 TEST(FaultRecovery, CompletesUnderTransientFailures) {
   const Workload w = make_example_dag();
   SimConfig config = fault_test_cluster();
-  config.faults.enabled = true;
   config.faults.task_fail_prob = 0.2;
   const RunMetrics m = run_workload(w, config).metrics;
   EXPECT_GT(m.faults.transient_failures, 0);
@@ -183,7 +217,6 @@ TEST(FaultRecovery, CompletesUnderTransientFailures) {
 TEST(FaultRecovery, CompletesUnderBlockLoss) {
   const Workload w = make_example_dag();
   SimConfig config = fault_test_cluster();
-  config.faults.enabled = true;
   // Blocks are ~1 MiB, so an honest per-GB rate never fires; crank it so
   // losses are near-certain over the run.
   config.faults.block_loss_per_gb_hour = 2e5;
@@ -198,7 +231,6 @@ TEST(FaultRecovery, FaultyRunsAreDeterministic) {
   const Workload w = make_example_dag();
   SimConfig config = fault_test_cluster();
   config.duration_noise = 0.1;
-  config.faults.enabled = true;
   config.faults.crashes = {{90 * kSec, -1}};
   config.faults.task_fail_prob = 0.1;
   config.faults.block_loss_per_gb_hour = 10.0;
@@ -212,7 +244,6 @@ TEST(FaultRecovery, CrashedExecutorLeavesClusterAndCacheStaysDiskBacked) {
   const Workload w = make_example_dag();
   const JobProfile profile = exact_profile(w.dag);
   SimConfig config = fault_test_cluster();
-  config.faults.enabled = true;
   config.faults.crashes = {{120 * kSec, 0}};
   SimDriver driver(w.dag, profile, config);
   const RunMetrics m = driver.run();
@@ -236,7 +267,6 @@ TEST(FaultRecovery, CrashedExecutorLeavesClusterAndCacheStaysDiskBacked) {
 TEST(FaultRecovery, LostBlocksAreRecomputedFromLineage) {
   const Workload w = make_example_dag();
   SimConfig config = fault_test_cluster();
-  config.faults.enabled = true;
   // Crash two of the four executors just after the first stages finish
   // (~240s): some produced blocks lose their only copies and must be
   // recomputed from lineage before the join stage can run.
@@ -261,7 +291,6 @@ TEST(FaultRecovery, JctMonotoneInFailureRate) {
     for (std::uint64_t seed = 1; seed <= 5; ++seed) {
       SimConfig config = fault_test_cluster();
       config.seed = seed;
-      config.faults.enabled = p > 0.0;
       config.faults.task_fail_prob = p;
       sum += to_seconds(run_workload(w, config).metrics.jct);
     }

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 
 #include "core/presets.hpp"
 #include "core/runner.hpp"
@@ -69,7 +70,6 @@ TEST(FailureDetector, WindowAdaptsToObservedCadence) {
 
 FaultConfig gray_faults() {
   FaultConfig f;
-  f.enabled = true;
   f.heartbeats = true;
   return f;
 }
@@ -94,6 +94,10 @@ TEST(FaultPlanGray, RejectsBadGrayKnobs) {
   f = gray_faults();
   f.degrades.push_back({10 * kSec, 20 * kSec, 0, 0.5});  // speed-up, not slow
   EXPECT_THROW(plan(f), ConfigError);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  f = gray_faults();
+  f.degrades.push_back({10 * kSec, 20 * kSec, 0, nan});
+  EXPECT_THROW(plan(f), ConfigError);
   f = gray_faults();
   f.heartbeat_interval = SimTime{0};
   EXPECT_THROW(plan(f), ConfigError);
@@ -101,7 +105,13 @@ TEST(FaultPlanGray, RejectsBadGrayKnobs) {
   f.suspect_phi = 0.0;
   EXPECT_THROW(plan(f), ConfigError);
   f = gray_faults();
+  f.suspect_phi = nan;
+  EXPECT_THROW(plan(f), ConfigError);
+  f = gray_faults();
   f.dead_phi = f.suspect_phi / 2;  // would declare dead before suspect
+  EXPECT_THROW(plan(f), ConfigError);
+  f = gray_faults();
+  f.dead_phi = nan;
   EXPECT_THROW(plan(f), ConfigError);
   f = gray_faults();
   f.blacklist_threshold = -1;
@@ -182,11 +192,10 @@ TEST(GrayBitIdentity, DormantGrayKnobsAreBitIdentical) {
   const Workload w = make_example_dag();
   const RunMetrics off = run_workload(w, gray_test_cluster()).metrics;
 
-  // Faults enabled and gray thresholds tuned — but no heartbeats, no
-  // partition, no degrade, and blacklisting with nothing to count:
-  // nothing may fire and nothing may perturb the trace.
+  // Gray thresholds tuned — but no heartbeats, no partition, no
+  // degrade, and blacklisting with nothing to count: nothing may fire
+  // and nothing may perturb the trace.
   SimConfig dormant = gray_test_cluster();
-  dormant.faults.enabled = true;
   dormant.faults.suspect_phi = 0.5;
   dormant.faults.dead_phi = 4.0;
   dormant.faults.blacklist_threshold = 3;
@@ -232,7 +241,6 @@ TEST(GrayBitIdentity, FaultsOffPresetFingerprintsArePinned) {
 TEST(GraySuspicion, SuspectedThenRecoveredExecutorIsReadmitted) {
   const Workload w = make_example_dag();
   SimConfig config = gray_test_cluster();
-  config.faults.enabled = true;
   // Rack 0 goes silent for 10 s: well past suspect_phi (~2.3 s), well
   // short of dead_phi (~18.4 s).
   const SimTime heal = 70 * kSec;
@@ -267,7 +275,6 @@ TEST(GraySuspicion, SuspectedThenRecoveredExecutorIsReadmitted) {
 TEST(GraySuspicion, NeverResumingSuspectIsDeclaredDeadAndRecovered) {
   const Workload w = make_example_dag();
   SimConfig config = gray_test_cluster();
-  config.faults.enabled = true;
   // Rack 0 stays silent far past dead_phi (~18.4 s): its two executors
   // are declared dead at ~78 s and recovered exactly like crashes, long
   // before the nominal heal. (The heal stays inside the sim horizon
@@ -295,7 +302,6 @@ TEST(GraySuspicion, PartitionDefersReportsAndStallsCrossRackFetches) {
   // 15 s window (the example dag's minute-long tasks would not).
   const Workload w = make_workload(WorkloadId::KMeans, WorkloadScale{0.3});
   SimConfig config = gray_test_cluster();
-  config.faults.enabled = true;
   config.faults.partitions.push_back({20 * kSec, 35 * kSec, 0});
   const RunMetrics m = run_workload(w, config).metrics;
   // Completions inside the window surface only at the heal; no report
@@ -308,7 +314,6 @@ TEST(GraySuspicion, PartitionDefersReportsAndStallsCrossRackFetches) {
 TEST(GraySuspicion, ProactiveRereplicationProtectsSoleCopies) {
   const Workload w = make_workload(WorkloadId::KMeans, WorkloadScale{0.3});
   SimConfig config = gray_test_cluster();
-  config.faults.enabled = true;
   // By 30 s KMeans has produced cached intermediates on rack 0;
   // suspecting its executors must give the sole copies a healthy home.
   config.faults.partitions.push_back({30 * kSec, 45 * kSec, 0});
@@ -322,7 +327,6 @@ TEST(GraySuspicion, ProactiveRereplicationProtectsSoleCopies) {
 TEST(GrayDegrade, DegradedAttemptsAreSpeculatedAsStragglers) {
   const Workload w = make_example_dag();
   SimConfig config = gray_test_cluster();
-  config.faults.enabled = true;
   config.speculation.enabled = true;
   config.faults.degrades.push_back({30 * kSec, 100000 * kSec, 0, 8.0});
   const RunMetrics m = run_workload(w, config).metrics;
@@ -338,7 +342,6 @@ TEST(GrayDegrade, DegradedAttemptsAreSpeculatedAsStragglers) {
 TEST(GrayDegrade, DegradeSlowsExactlyTheTargetExecutor) {
   const Workload w = make_example_dag();
   SimConfig slow = gray_test_cluster();
-  slow.faults.enabled = true;
   slow.faults.degrades.push_back({SimTime{0}, 100000 * kSec, 0, 4.0});
   const RunMetrics m = run_workload(w, slow).metrics;
   // Same-stage attempts share the base compute (noise is off here), so
@@ -390,7 +393,6 @@ TEST(GrayBlacklist, SchedulableGatesOnLivenessSuspicionAndProbation) {
 TEST(GrayBlacklist, RepeatOffendersEnterAndLeaveProbation) {
   const Workload w = make_example_dag();
   SimConfig config = gray_test_cluster();
-  config.faults.enabled = true;
   config.faults.task_fail_prob = 0.15;
   config.faults.blacklist_threshold = 2;
   config.faults.blacklist_probation = 30 * kSec;
@@ -415,7 +417,6 @@ TEST(GrayBlacklist, RepeatOffendersEnterAndLeaveProbation) {
 TEST(GrayChained, CrashDuringPartitionDrainsToQuiescence) {
   const Workload w = make_example_dag();
   SimConfig config = gray_test_cluster();
-  config.faults.enabled = true;
   // 15 s outage: suspicion fires, death (18.4 s) does not.
   config.faults.partitions.push_back({60 * kSec, 75 * kSec, 0});
   // A healthy rack-1 executor dies while rack 0 is unreachable: the
@@ -434,7 +435,6 @@ TEST(GrayChained, CrashDuringPartitionDrainsToQuiescence) {
 TEST(GrayChained, BlockLossOnBlacklistedExecutorRecovers) {
   const Workload w = make_example_dag();
   SimConfig config = gray_test_cluster();
-  config.faults.enabled = true;
   config.faults.heartbeats = true;
   config.faults.task_fail_prob = 0.15;
   config.faults.blacklist_threshold = 2;
@@ -455,7 +455,6 @@ TEST(GrayDeterminism, KitchenSinkRunsAreBitIdentical) {
   SimConfig config = gray_test_cluster();
   config.duration_noise = 0.1;
   config.speculation.enabled = true;
-  config.faults.enabled = true;
   config.faults.partitions.push_back({60 * kSec, 75 * kSec, -1});
   config.faults.degrades.push_back({30 * kSec, 200 * kSec, -1, 3.0});
   config.faults.crashes.push_back({90 * kSec, -1});
@@ -471,7 +470,6 @@ TEST(GrayDeterminism, GraySpecsDoNotPerturbCrashResolution) {
   // Appending gray specs must not consume crash-resolution RNG draws:
   // the planned crash resolves to the same executor either way.
   FaultConfig crash_only;
-  crash_only.enabled = true;
   crash_only.crashes.push_back({30 * kSec, -1});
   const FaultPlan a(crash_only, 8, 2, 11);
 

@@ -606,7 +606,7 @@ TEST_F(SchedFixture, SpeculationFlagsStragglers) {
   running[0].launch_time = SimTime{0};
 
   const auto candidates =
-      speculation_candidates(state_, running, config, 60 * kSec);
+      speculation_candidates(state_, running, {}, config, 60 * kSec);
   ASSERT_EQ(candidates.size(), 1u);
   EXPECT_EQ(candidates[0].task_index, 2);
   EXPECT_EQ(candidates[0].threshold, 15 * kSec);
@@ -631,9 +631,9 @@ TEST_F(SchedFixture, SpeculationMedianAveragesEvenSampleCounts) {
   running[0].launch_time = SimTime{0};
 
   EXPECT_TRUE(
-      speculation_candidates(state_, running, config, 5 * kSec).empty());
+      speculation_candidates(state_, running, {}, config, 5 * kSec).empty());
   const auto candidates =
-      speculation_candidates(state_, running, config, 5 * kSec + kMsec);
+      speculation_candidates(state_, running, {}, config, 5 * kSec + kMsec);
   ASSERT_EQ(candidates.size(), 1u);
   EXPECT_EQ(candidates[0].threshold, 5 * kSec);
 }
@@ -650,7 +650,7 @@ TEST_F(SchedFixture, SpeculationRespectsQuantileGate) {
   running[0].status = TaskStatus::Running;
   running[0].launch_time = SimTime{0};
   EXPECT_TRUE(
-      speculation_candidates(state_, running, config, kMinute).empty());
+      speculation_candidates(state_, running, {}, config, kMinute).empty());
 }
 
 TEST_F(SchedFixture, SpeculationIgnoresSpeculativeAttempts) {
@@ -666,7 +666,7 @@ TEST_F(SchedFixture, SpeculationIgnoresSpeculativeAttempts) {
   running[0].launch_time = SimTime{0};
   running[0].speculative = true;
   EXPECT_TRUE(
-      speculation_candidates(state_, running, config, kMinute).empty());
+      speculation_candidates(state_, running, {}, config, kMinute).empty());
 }
 
 TEST_F(SchedFixture, SpeculationDisabled) {
@@ -675,7 +675,7 @@ TEST_F(SchedFixture, SpeculationDisabled) {
   running[0].stage = StageId(0);
   running[0].status = TaskStatus::Running;
   EXPECT_TRUE(
-      speculation_candidates(state_, running, config, kMinute).empty());
+      speculation_candidates(state_, running, {}, config, kMinute).empty());
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 
 #include "core/presets.hpp"
 #include "core/runner.hpp"
@@ -17,19 +18,26 @@
 namespace dagon {
 namespace {
 
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
 // --- validation --------------------------------------------------------------
 
 TEST(TailValidation, FaultPlanRejectsBadHeavyTailKnobs) {
   auto plan = [](FaultConfig f) { return FaultPlan(f, 4, 2, 1); };
   FaultConfig f;
-  f.enabled = true;
   f.heavy_tail_prob = -0.1;
   EXPECT_THROW(plan(f), ConfigError);
   f.heavy_tail_prob = 1.5;
   EXPECT_THROW(plan(f), ConfigError);
+  f.heavy_tail_prob = kNaN;
+  EXPECT_THROW(plan(f), ConfigError);
   f.heavy_tail_prob = 0.1;
   f.heavy_tail_mult = 0.5;  // would shrink durations, not stretch them
   EXPECT_THROW(plan(f), ConfigError);
+  f.heavy_tail_mult = kNaN;
+  EXPECT_THROW(plan(f), ConfigError);
+  f.heavy_tail_mult = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(plan(f), ConfigError);  // would overflow the attempt's time
   f.heavy_tail_mult = 6.0;
   EXPECT_NO_THROW(plan(f));
 }
@@ -53,6 +61,14 @@ TEST(TailValidation, DriverRejectsBadTierAndEscalationKnobs) {
 
   config = base;
   config.tail.tiers.push_back(SimConfig::ExecTier{"bad", 0.25, 0.0});
+  EXPECT_THROW(driver_with(config), ConfigError);
+
+  config = base;
+  config.tail.tiers.push_back(SimConfig::ExecTier{"bad", kNaN, 2.0});
+  EXPECT_THROW(driver_with(config), ConfigError);
+
+  config = base;
+  config.tail.tiers.push_back(SimConfig::ExecTier{"bad", 0.25, kNaN});
   EXPECT_THROW(driver_with(config), ConfigError);
 
   config = base;
@@ -118,7 +134,6 @@ TEST(TierAssignment, CountsMatchFractionsAndResolveDeterministically) {
   // Same seed => same membership; the tier stream is independent of the
   // fault plan, so adding faults must not reshuffle the tiers.
   SimConfig with_faults = config;
-  with_faults.faults.enabled = true;
   with_faults.faults.crashes.push_back(ExecutorCrashSpec{3600 * kSec, 0});
   SimDriver b(w.dag, profile, with_faults);
   for (std::size_t i = 0; i < a.state().executors().size(); ++i) {
@@ -177,11 +192,10 @@ TEST(TailDormancy, DormantTailKnobsAreBitIdentical) {
   const Workload w = make_example_dag();
   const RunMetrics off = run_workload(w, quad_cluster()).metrics;
 
-  // Every tail knob armed but inert: faults on with a zero heavy-tail
+  // Every tail knob armed but inert: a heavy-tail multiplier with a zero
   // probability, hedge mode set without speculation, escalation set
   // without tiers. Nothing may fire and nothing may perturb the trace.
   SimConfig dormant = quad_cluster();
-  dormant.faults.enabled = true;
   dormant.faults.heavy_tail_prob = 0.0;
   dormant.faults.heavy_tail_mult = 6.0;
   dormant.speculation.enabled = false;
@@ -200,7 +214,6 @@ TEST(HeavyTail, InjectionsStretchJctDeterministically) {
   const RunMetrics base = run_workload(w, quad_cluster()).metrics;
 
   SimConfig config = quad_cluster();
-  config.faults.enabled = true;
   config.faults.heavy_tail_prob = 0.3;
   config.faults.heavy_tail_mult = 4.0;
   const RunMetrics tail = run_workload(w, config).metrics;
@@ -351,7 +364,6 @@ TEST(Hedge, HedgeExecutorCrashLeavesTheOriginalToFinish) {
   }
   ASSERT_GE(fast_exec, 0);
 
-  config.faults.enabled = true;
   config.faults.crashes.push_back(ExecutorCrashSpec{1500 * kMsec, fast_exec});
   SimDriver driver(w.dag, profile, config);
   const RunMetrics m = driver.run();
@@ -392,7 +404,6 @@ TEST(Hedge, SurvivesLineageRecoveryReopeningHedgedStages) {
   config.tail.escalation_wait = kSec;
   config.speculation = eager_hedge();
   config.speculation.multiplier = 1.2;
-  config.faults.enabled = true;
   config.faults.heavy_tail_prob = 0.15;
   config.faults.heavy_tail_mult = 6.0;
   config.faults.crashes.push_back(ExecutorCrashSpec{30 * kSec, -1});

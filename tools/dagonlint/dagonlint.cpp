@@ -1846,6 +1846,10 @@ std::set<std::string> declared_names(const FileScan& scan) {
     }
     if (decl_keyword(t.text) || i == 0 || i + 1 >= toks.size()) continue;
     const Token& prev = toks[i - 1];
+    // `namespace dagon {` opens a scope, it declares nothing: counting
+    // the name would let every header in the namespace vouch for every
+    // include of every file in it.
+    if (prev.text == "namespace") continue;
     const bool decl_prev = (prev.kind == TokKind::Identifier &&
                             !decl_keyword(prev.text)) ||
                            prev.text == ">" || prev.text == "&" ||

@@ -10,11 +10,13 @@
 //   dagonsim --help
 #include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <set>
 #include <string>
@@ -34,7 +36,7 @@ struct Options {
   CachePolicyKind cache = CachePolicyKind::Lrp;
   DelayKind delay = DelayKind::SensitivityAware;
   double scale = 1.0;
-  double wait_seconds = 3.0;
+  SimTime wait = 3 * kSec;
   bool cache_enabled = true;
   /// Base cluster/fault preset: testbed | case | faulty | graybox.
   std::string preset = "testbed";
@@ -64,7 +66,8 @@ struct Options {
 }
 
 /// Strict numeric parsing: the whole value must consume, no trailing
-/// junk, no overflow. `--scale 1.5x` is a config error, not scale 1.5.
+/// junk, no overflow. `--scale 1.5x` is a config error, not scale 1.5,
+/// and `nan` / `inf` are rejected: no knob means anything with them.
 double parse_double(const std::string& flag, const std::string& v) {
   errno = 0;
   char* end = nullptr;
@@ -72,7 +75,22 @@ double parse_double(const std::string& flag, const std::string& v) {
   if (v.empty() || end != v.c_str() + v.size() || errno == ERANGE) {
     usage_error("malformed number '" + v + "' for " + flag);
   }
+  if (!std::isfinite(x)) {
+    usage_error("non-finite number '" + v + "' for " + flag);
+  }
   return x;
+}
+
+/// A time flag in seconds. Rejects values whose microsecond count does
+/// not fit SimTime's int64 before from_seconds converts them.
+SimTime parse_seconds(const std::string& flag, const std::string& v) {
+  const double seconds = parse_double(flag, v);
+  const double limit_us =
+      static_cast<double>(std::numeric_limits<std::int64_t>::max());
+  if (!(std::fabs(seconds * static_cast<double>(kSec.count())) < limit_us)) {
+    usage_error("seconds '" + v + "' out of range for " + flag);
+  }
+  return from_seconds(seconds);
 }
 
 std::int64_t parse_int(const std::string& flag, const std::string& v) {
@@ -170,8 +188,7 @@ void print_help() {
       "                     [poisson:0.5]\n"
       "  --fair-share       weighted fair sharing across live jobs\n"
       "                     (default: FIFO across jobs)\n"
-      "\nfault injection (any flag enables the failure model; layered on\n"
-      "top of the preset's faults):\n"
+      "\nfault injection (layered on top of the preset's faults):\n"
       "  --fault-crash T[:E]      crash executor E (or a random one) at\n"
       "                           T seconds; repeatable\n"
       "  --fault-task-fail P      transient task-failure probability [0]\n"
@@ -291,7 +308,7 @@ int main(int argc, char** argv) {
       else if (v == "aware") opt.delay = DelayKind::SensitivityAware;
       else usage_error("unknown delay " + v);
     } else if (arg == "--wait") {
-      opt.wait_seconds = parse_double(arg, next());
+      opt.wait = parse_seconds(arg, next());
     } else if (arg == "--scale") {
       opt.scale = parse_double(arg, next());
     } else if (arg == "--seed") {
@@ -316,64 +333,52 @@ int main(int argc, char** argv) {
     } else if (arg == "--fault-crash") {
       const auto f = parse_spec(arg, next(), 1, 2);
       ExecutorCrashSpec crash;
-      crash.at = from_seconds(parse_double(arg, f[0]));
+      crash.at = parse_seconds(arg, f[0]);
       if (f.size() > 1) {
         crash.executor = static_cast<std::int32_t>(parse_int(arg, f[1]));
       }
       opt.faults.crashes.push_back(crash);
-      opt.faults.enabled = true;
     } else if (arg == "--fault-partition") {
       const auto f = parse_spec(arg, next(), 2, 3);
       PartitionSpec p;
-      p.at = from_seconds(parse_double(arg, f[0]));
-      p.heal_at = from_seconds(parse_double(arg, f[1]));
+      p.at = parse_seconds(arg, f[0]);
+      p.heal_at = parse_seconds(arg, f[1]);
       if (f.size() > 2) {
         p.rack = static_cast<std::int32_t>(parse_int(arg, f[2]));
       }
       opt.faults.partitions.push_back(p);
-      opt.faults.enabled = true;
     } else if (arg == "--fault-degrade") {
       const auto f = parse_spec(arg, next(), 3, 4);
       DegradeSpec d;
-      d.at = from_seconds(parse_double(arg, f[0]));
-      d.until = from_seconds(parse_double(arg, f[1]));
+      d.at = parse_seconds(arg, f[0]);
+      d.until = parse_seconds(arg, f[1]);
       d.slowdown = parse_double(arg, f[2]);
       if (f.size() > 3) {
         d.executor = static_cast<std::int32_t>(parse_int(arg, f[3]));
       }
       opt.faults.degrades.push_back(d);
-      opt.faults.enabled = true;
     } else if (arg == "--fault-task-fail") {
       opt.faults.task_fail_prob = parse_double(arg, next());
-      opt.faults.enabled = true;
     } else if (arg == "--fault-block-loss") {
       opt.faults.block_loss_per_gb_hour = parse_double(arg, next());
-      opt.faults.enabled = true;
     } else if (arg == "--heartbeat-interval") {
-      opt.faults.heartbeat_interval = from_seconds(parse_double(arg, next()));
+      opt.faults.heartbeat_interval = parse_seconds(arg, next());
       opt.faults.heartbeats = true;
-      opt.faults.enabled = true;
     } else if (arg == "--heartbeat-suspect") {
       opt.faults.suspect_phi = parse_double(arg, next());
       opt.faults.heartbeats = true;
-      opt.faults.enabled = true;
     } else if (arg == "--heartbeat-dead") {
       opt.faults.dead_phi = parse_double(arg, next());
       opt.faults.heartbeats = true;
-      opt.faults.enabled = true;
     } else if (arg == "--blacklist-threshold") {
       opt.faults.blacklist_threshold =
           static_cast<std::int32_t>(parse_int(arg, next()));
-      opt.faults.enabled = true;
     } else if (arg == "--blacklist-probation") {
-      opt.faults.blacklist_probation = from_seconds(parse_double(arg, next()));
-      opt.faults.enabled = true;
+      opt.faults.blacklist_probation = parse_seconds(arg, next());
     } else if (arg == "--heavy-tail-prob") {
       opt.faults.heavy_tail_prob = parse_double(arg, next());
-      opt.faults.enabled = true;
     } else if (arg == "--heavy-tail-mult") {
       opt.faults.heavy_tail_mult = parse_double(arg, next());
-      opt.faults.enabled = true;
     } else if (arg == "--exec-tiers") {
       // Comma-separated tier entries, each a NAME:FRAC:MULT triple.
       const std::string v = next();
@@ -410,7 +415,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--escalate") {
       opt.tail.escalate = true;
     } else if (arg == "--escalate-wait") {
-      opt.tail.escalation_wait = from_seconds(parse_double(arg, next()));
+      opt.tail.escalation_wait = parse_seconds(arg, next());
       opt.tail.escalate = true;
     } else if (arg == "--serve-jobs") {
       opt.serve_jobs = parse_count(arg, next());
@@ -470,7 +475,7 @@ int main(int argc, char** argv) {
   config.cache = opt.cache;
   config.cache_enabled = opt.cache_enabled;
   config.delay = opt.delay;
-  config.waits = LocalityWaits::uniform(from_seconds(opt.wait_seconds));
+  config.waits = LocalityWaits::uniform(opt.wait);
   config.seed = opt.seed;
   if (opt.noise >= 0.0) config.duration_noise = opt.noise;
   config.faults = opt.faults;
@@ -631,7 +636,7 @@ int main(int argc, char** argv) {
               << TextTable::percent(m.cache.effective_hit_ratio()) << "\n";
   }
 
-  if (opt.faults.enabled) {
+  if (m.faults.any()) {
     std::cout << "\nfault injection (crashes=" << opt.faults.crashes.size()
               << ", partitions=" << opt.faults.partitions.size()
               << ", degrades=" << opt.faults.degrades.size()
