@@ -17,7 +17,8 @@ BlockManagerMaster::BlockManagerMaster(const Topology& topo,
       hdfs_(&hdfs),
       oracle_(&oracle),
       policy_(&policy),
-      cache_enabled_(cache_enabled) {
+      cache_enabled_(cache_enabled),
+      prefetching_(cache_enabled && policy.prefetches()) {
   managers_.reserve(topo.num_executors());
   for (const Executor& e : topo.executors()) {
     managers_.emplace_back(e.id, e.cache_bytes, policy);
@@ -48,46 +49,51 @@ BlockManagerMaster::BlockManagerMaster(const Topology& topo,
   // Cacheable input blocks start on HDFS disk with no memory copy: they
   // are the initial prefetch candidates (MRD pre-warms the first
   // stages' inputs this way).
-  if (cache_enabled_) {
-    for (const Rdd& rdd : dag.rdds()) {
-      if (!rdd.is_input || !rdd.cacheable) continue;
-      for (std::int32_t p = 0; p < rdd.num_partitions; ++p) {
-        add_prefetchable(ord(BlockId{rdd.id, p}));
-      }
+  for (const Rdd& rdd : dag.rdds()) {
+    if (!rdd.is_input || !rdd.cacheable) continue;
+    for (std::int32_t p = 0; p < rdd.num_partitions; ++p) {
+      add_prefetchable(BlockId{rdd.id, p});
     }
   }
 }
 
-void BlockManagerMaster::index_prefetchable(std::size_t o) {
-  const auto signed_ord = static_cast<std::int64_t>(o);
-  for (const NodeId n : hdfs_->replicas_by_ord(signed_ord)) {
-    prefetch_by_node_[static_cast<std::size_t>(n.value())].insert(signed_ord);
+void BlockManagerMaster::index_prefetchable(const BlockId& block) {
+  const std::size_t o = ord(block);
+  for (const NodeId n :
+       hdfs_->replicas_by_ord(static_cast<std::int64_t>(o))) {
+    prefetch_by_node_[static_cast<std::size_t>(n.value())].insert(block);
   }
   for (const NodeId n : produced_disk_[o]) {
-    prefetch_by_node_[static_cast<std::size_t>(n.value())].insert(signed_ord);
+    prefetch_by_node_[static_cast<std::size_t>(n.value())].insert(block);
   }
 }
 
-void BlockManagerMaster::unindex_prefetchable(std::size_t o) {
-  const auto signed_ord = static_cast<std::int64_t>(o);
-  for (const NodeId n : hdfs_->replicas_by_ord(signed_ord)) {
-    prefetch_by_node_[static_cast<std::size_t>(n.value())].erase(signed_ord);
+void BlockManagerMaster::unindex_prefetchable(const BlockId& block) {
+  const std::size_t o = ord(block);
+  for (const NodeId n :
+       hdfs_->replicas_by_ord(static_cast<std::int64_t>(o))) {
+    prefetch_by_node_[static_cast<std::size_t>(n.value())].erase(block);
   }
   for (const NodeId n : produced_disk_[o]) {
-    prefetch_by_node_[static_cast<std::size_t>(n.value())].erase(signed_ord);
+    prefetch_by_node_[static_cast<std::size_t>(n.value())].erase(block);
   }
 }
 
-void BlockManagerMaster::add_prefetchable(std::size_t o) {
-  if (prefetchable_[o] != 0) return;
-  prefetchable_[o] = 1;
-  index_prefetchable(o);
+void BlockManagerMaster::add_prefetchable(const BlockId& block) {
+  // Nothing is flagged or indexed for a master that cannot prefetch, so
+  // every other index operation finds nothing to do.
+  if (!prefetching_) return;
+  char& flag = prefetchable_[ord(block)];
+  if (flag != 0) return;
+  flag = 1;
+  index_prefetchable(block);
 }
 
-void BlockManagerMaster::remove_prefetchable(std::size_t o) {
-  if (prefetchable_[o] == 0) return;
-  prefetchable_[o] = 0;
-  unindex_prefetchable(o);
+void BlockManagerMaster::remove_prefetchable(const BlockId& block) {
+  char& flag = prefetchable_[ord(block)];
+  if (flag == 0) return;
+  flag = 0;
+  unindex_prefetchable(block);
 }
 
 void BlockManagerMaster::set_residency(const BlockId& block,
@@ -229,7 +235,7 @@ void BlockManagerMaster::apply_insert(
       // Mirror into the oracle's LERC peer groups (no-op unless enabled).
       oracle_->set_memory_resident(block, true);
     }
-    remove_prefetchable(o);
+    remove_prefetchable(block);
     ++counters_.insertions;
   } else {
     ++counters_.rejected_admissions;
@@ -238,7 +244,7 @@ void BlockManagerMaster::apply_insert(
       set_residency(block, BlockResidency::Disk);
     }
     if (dag_->rdd(block.rdd).cacheable && memory_copies_[o].empty()) {
-      add_prefetchable(o);
+      add_prefetchable(block);
     }
   }
 }
@@ -256,7 +262,7 @@ void BlockManagerMaster::note_evicted(const BlockId& block, ExecutorId exec) {
     set_residency(block, BlockResidency::Evicted);
     // Mirror into the oracle's LERC peer groups (no-op unless enabled).
     oracle_->set_memory_resident(block, false);
-    if (dag_->rdd(block.rdd).cacheable) add_prefetchable(o);
+    if (dag_->rdd(block.rdd).cacheable) add_prefetchable(block);
   }
 }
 
@@ -274,9 +280,9 @@ void BlockManagerMaster::on_block_produced(const BlockId& block,
     // A flagged block gains a disk-holder node: keep the per-node
     // candidate index in sync (unindex before, reindex after).
     const bool was_pf = prefetchable_[o] != 0;
-    if (was_pf) unindex_prefetchable(o);
+    if (was_pf) unindex_prefetchable(block);
     disks.push_back(node);
-    if (was_pf) index_prefetchable(o);
+    if (was_pf) index_prefetchable(block);
     ++placement_version_;
   }
   // Lifecycle: Absent → Materializing on first production, Lost →
@@ -333,36 +339,45 @@ int BlockManagerMaster::proactive_sweep() {
 
 std::optional<BlockManagerMaster::PrefetchChoice>
 BlockManagerMaster::prefetch_candidate(ExecutorId exec) const {
-  if (!cache_enabled_) return std::nullopt;
-  const NodeId my_node = topo_->node_of(exec);
-  const BlockManager& mgr =
-      managers_[static_cast<std::size_t>(exec.value())];
+  PrefetchRanking ranking;
+  rank_prefetch_candidates(topo_->node_of(exec), ranking);
+  return ranking.pick(manager(exec).free_bytes());
+}
 
-  std::optional<PrefetchChoice> best;
-  double best_priority = 0.0;
+void BlockManagerMaster::rank_prefetch_candidates(
+    NodeId node, PrefetchRanking& out) const {
+  out.node_ = node;
+  out.candidates_.clear();
+  // Node-local disk blocks only: prefetching is a local disk->memory
+  // promotion that overlaps computation, so the ranking covers exactly
+  // this node's candidate set (cacheable + on local disk + not in
+  // memory), maintained incrementally in BlockId order.
+  for (const BlockId& block :
+       prefetch_by_node_[static_cast<std::size_t>(node.value())]) {
+    const Bytes bytes = block_bytes(block);
+    if (bytes <= Bytes{0}) continue;
+    if (const auto priority = policy_->prefetch_priority(block, *oracle_)) {
+      out.candidates_.push_back({block, bytes, *priority});
+    }
+  }
+}
+
+std::optional<BlockManagerMaster::PrefetchChoice>
+BlockManagerMaster::PrefetchRanking::pick(Bytes free) const {
   // Prefetch fills FREE space only: "when the free cache space reaches a
   // certain threshold, it prefetches the in-disk data block whose
   // reference priority is the largest" (§IV). Eviction-to-prefetch (as
   // in MRD's own paper) measured net-negative here — see the prefetch
-  // ablation bench. Node-local disk blocks only: prefetching is a local
-  // disk->memory promotion that overlaps computation, so the scan covers
-  // exactly this node's candidate set (cacheable + on local disk + not
-  // in memory), maintained incrementally. Ascending ordinal == ascending
-  // block id, so ties resolve to the smallest block id as before.
-  for (const std::int64_t o :
-       prefetch_by_node_[static_cast<std::size_t>(my_node.value())]) {
-    const BlockId block = dag_->block_at(o);
-    const Bytes bytes = block_bytes(block);
-    if (bytes <= Bytes{0} || bytes > mgr.free_bytes()) continue;
-    const auto priority = policy_->prefetch_priority(block, *oracle_);
-    if (!priority) continue;
-    if (!best || *priority > best_priority ||
-        (*priority == best_priority && block < best->block)) {
-      best = PrefetchChoice{block, bytes, my_node};
-      best_priority = *priority;
+  // ablation bench. Strict `>` over ascending ids: ties go to the
+  // smallest BlockId.
+  const Candidate* best = nullptr;
+  for (const Candidate& c : candidates_) {
+    if (c.bytes <= free && (best == nullptr || c.priority > best->priority)) {
+      best = &c;
     }
   }
-  return best;
+  if (best == nullptr) return std::nullopt;
+  return PrefetchChoice{best->block, best->bytes, node_};
 }
 
 bool BlockManagerMaster::finish_prefetch(const BlockId& block,
@@ -424,25 +439,25 @@ BlockManagerMaster::DropResult BlockManagerMaster::drop_executor(
     // must leave the per-node index for the stale set and rejoin for the
     // new one (or not at all, if it ends up Lost).
     const bool was_pf = prefetchable_[o] != 0;
-    if (was_pf) unindex_prefetchable(o);
+    if (was_pf) unindex_prefetchable(block);
     disks = std::move(nodes);
     ++placement_version_;
 
     if (!disks.empty() ||
         !hdfs_->replicas_by_ord(static_cast<std::int64_t>(o)).empty()) {
-      if (was_pf) index_prefetchable(o);
+      if (was_pf) index_prefetchable(block);
       continue;  // a durable copy survives elsewhere
     }
     // Last disk copy gone. If some executor still caches the block,
     // immediately re-materialize a disk copy at that holder's node so
-    // the eviction-is-always-safe invariant keeps holding.
+    // the eviction-is-always-safe invariant keeps holding. (A block with
+    // a memory holder is never flagged, so there is nothing to reindex.)
     const auto& mem = memory_copies_[o];
     if (!mem.empty()) {
       const ExecutorId holder = *std::min_element(mem.begin(), mem.end());
       producers.push_back(holder);
       disks.push_back(topo_->node_of(holder));
       ++result.rereplicated;
-      if (was_pf) index_prefetchable(o);
     } else {
       // No copy anywhere: only lineage recomputation can bring it back.
       // The memory-drop pass above already moved the block to Evicted if
@@ -517,19 +532,18 @@ BlockManagerMaster::rereplicate_suspect_blocks(ExecutorId target) {
 
   const NodeId target_node = topo_->node_of(target);
   for (const std::size_t o : at_risk) {
+    const BlockId block = dag_->block_at(static_cast<std::int64_t>(o));
     produced_by_[o].push_back(target);
     auto& disks = produced_disk_[o];
     if (std::find(disks.begin(), disks.end(), target_node) == disks.end()) {
       const bool was_pf = prefetchable_[o] != 0;
-      if (was_pf) unindex_prefetchable(o);
+      if (was_pf) unindex_prefetchable(block);
       disks.push_back(target_node);
-      if (was_pf) index_prefetchable(o);
+      if (was_pf) index_prefetchable(block);
     }
     ++placement_version_;
     ++result.blocks;
-    result.bytes +=
-        std::max(block_bytes(dag_->block_at(static_cast<std::int64_t>(o))),
-                 Bytes{0});
+    result.bytes += std::max(block_bytes(block), Bytes{0});
   }
   return result;
 }

@@ -67,9 +67,12 @@ class BlockManagerMaster {
   int proactive_sweep();
 
   /// Best node-local prefetch candidate for `exec`: a disk-resident
-  /// block with no memory copy anywhere, ranked by the policy's prefetch
-  /// priority. Returns nullopt when the policy does not prefetch or no
-  /// candidate fits.
+  /// block with no memory copy anywhere that fits in `exec`'s free
+  /// space, ranked by the policy's prefetch priority, ties to the smaller
+  /// BlockId. Returns nullopt when the master does not prefetch (see
+  /// prefetches()) or no candidate fits. Ranks the node afresh on each
+  /// call; a pass over many executors instead ranks each node once
+  /// (rank_prefetch_candidates) and lets every executor pick from it.
   struct PrefetchChoice {
     BlockId block;
     Bytes bytes{};
@@ -77,6 +80,35 @@ class BlockManagerMaster {
   };
   [[nodiscard]] std::optional<PrefetchChoice> prefetch_candidate(
       ExecutorId exec) const;
+
+  /// One node's prefetch candidates that have a positive size and a
+  /// prefetch priority, each with that priority, in ascending BlockId
+  /// order. Ranking asks the policy once per candidate; picking only
+  /// compares sizes and priorities, so every executor of the node can
+  /// pick from one ranking while nothing it read has changed.
+  class PrefetchRanking {
+   public:
+    /// The highest-priority candidate of at most `free` bytes; among
+    /// equal priorities the first, i.e. the smallest BlockId.
+    [[nodiscard]] std::optional<PrefetchChoice> pick(Bytes free) const;
+
+   private:
+    friend class BlockManagerMaster;
+    struct Candidate {
+      BlockId block;
+      Bytes bytes{};
+      double priority = 0.0;
+    };
+    NodeId node_ = NodeId::invalid();
+    std::vector<Candidate> candidates_;
+  };
+
+  /// Ranks `node`'s candidates into `out`, reusing its buffer.
+  void rank_prefetch_candidates(NodeId node, PrefetchRanking& out) const;
+
+  /// Whether prefetching can pick anything: the cache is on and the
+  /// policy prefetches. When false the master keeps no candidate index.
+  [[nodiscard]] bool prefetches() const { return prefetching_; }
 
   /// Completes a prefetch: admit into `exec`'s memory (may be refused if
   /// the cache filled up meanwhile).
@@ -213,15 +245,16 @@ class BlockManagerMaster {
   // -- prefetch candidate index -------------------------------------------
   // prefetchable_[o] flags blocks that are cacheable, durably on disk,
   // and in no executor's memory; prefetch_by_node_[n] holds exactly the
-  // flagged ordinals with a disk copy (HDFS or produced) on node n, so
-  // prefetch_candidate() scans only the node-local subset. Invariant:
-  // flagged ⟺ indexed under every current disk-holder node. Any code
-  // mutating a flagged block's disk-node set must unindex first and
-  // reindex after (see drop_executor / on_block_produced).
-  void index_prefetchable(std::size_t o);
-  void unindex_prefetchable(std::size_t o);
-  void add_prefetchable(std::size_t o);
-  void remove_prefetchable(std::size_t o);
+  // flagged blocks with a disk copy (HDFS or produced) on node n, so a
+  // ranking visits only the node-local subset. Nothing is flagged
+  // unless prefetches(). Invariant: flagged ⟺ indexed under every
+  // current disk-holder node. Any code mutating a flagged block's
+  // disk-node set must unindex first and reindex after (see
+  // drop_executor / on_block_produced).
+  void index_prefetchable(const BlockId& block);
+  void unindex_prefetchable(const BlockId& block);
+  void add_prefetchable(const BlockId& block);
+  void remove_prefetchable(const BlockId& block);
 
   const Topology* topo_;
   const JobDag* dag_;
@@ -229,6 +262,8 @@ class BlockManagerMaster {
   ReferenceOracle* oracle_;
   const CachePolicy* policy_;
   bool cache_enabled_;
+  /// cache_enabled_ && policy_->prefetches().
+  bool prefetching_;
 
   std::vector<BlockManager> managers_;  // indexed by executor id
   /// Executors holding a memory copy, indexed by block ordinal.
@@ -242,7 +277,7 @@ class BlockManagerMaster {
   std::vector<std::vector<ExecutorId>> produced_by_;
   /// Prefetch candidate flags + per-node candidate sets (see above).
   std::vector<char> prefetchable_;
-  std::vector<std::set<std::int64_t>> prefetch_by_node_;
+  std::vector<std::set<BlockId>> prefetch_by_node_;
   /// 1 = suspected by the failure detector (indexed by executor id).
   std::vector<char> suspect_;
   /// Shadow lifecycle state per block ordinal

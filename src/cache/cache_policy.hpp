@@ -66,6 +66,11 @@ class CachePolicy {
   /// (MRD/LRP — this is how MRD declines to cache RDD B in Table I).
   [[nodiscard]] virtual bool always_admit() const { return false; }
 
+  /// Whether the policy prefetches at all (MRD and LRP). When false,
+  /// prefetch_priority() is nullopt for every block, so the master keeps
+  /// no prefetch index and the driver runs no prefetch pass.
+  [[nodiscard]] virtual bool prefetches() const { return false; }
+
   /// Prefetch desirability: HIGHEST value fetched first; nullopt when the
   /// block should not be prefetched at all. Default: no prefetching.
   [[nodiscard]] virtual std::optional<double> prefetch_priority(
@@ -109,6 +114,7 @@ class MrdPolicy final : public CachePolicy {
       const BlockId& block, SimTime last_access,
       const ReferenceOracle& oracle) const override;
   [[nodiscard]] bool proactive_eviction() const override { return true; }
+  [[nodiscard]] bool prefetches() const override { return true; }
   [[nodiscard]] std::optional<double> prefetch_priority(
       const BlockId& block, const ReferenceOracle& oracle) const override;
 };
@@ -123,6 +129,7 @@ class LrpPolicy final : public CachePolicy {
       const BlockId& block, SimTime last_access,
       const ReferenceOracle& oracle) const override;
   [[nodiscard]] bool proactive_eviction() const override { return true; }
+  [[nodiscard]] bool prefetches() const override { return true; }
   [[nodiscard]] std::optional<double> prefetch_priority(
       const BlockId& block, const ReferenceOracle& oracle) const override;
 };

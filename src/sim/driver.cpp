@@ -346,10 +346,11 @@ RunMetrics SimDriver::run() {
         break;
     }
     schedule_loop(now);
-    // Proactive sweeps and prefetch scans are O(cached blocks) /
-    // O(candidates x executors): run them at tick granularity (plus on
-    // stage completions inside handle_task_finish), not on every event —
-    // and not on heartbeats, which arrive once per executor per interval.
+    // Proactive sweeps and prefetch passes are O(cached blocks) /
+    // O(candidates x nodes): run them after every event except task
+    // finishes and heartbeats (which arrive once per executor per
+    // interval). A task finish that completes a stage runs only the
+    // proactive sweep, inside handle_task_finish.
     if (ev.type != EventType::TaskFinish &&
         ev.type != EventType::Heartbeat) {
       master_.proactive_sweep();
@@ -742,12 +743,24 @@ void SimDriver::handle_prefetch_done(const Event& e, SimTime now) {
 }
 
 void SimDriver::issue_prefetches(SimTime now) {
-  if (!config_.prefetch_enabled || !config_.cache_enabled) return;
+  if (!config_.prefetch_enabled || !master_.prefetches()) return;
+  // The pass only marks blocks in flight, occupies IO channels and
+  // pushes events; nothing a ranking reads (the candidate index, free
+  // bytes, the oracle) changes, so a ranking stays exact for the whole
+  // pass. A node's executors have consecutive ids, so re-ranking when
+  // the node changes ranks each node once.
+  NodeId ranked = NodeId::invalid();
   for (ExecutorRuntime& e : state_.executors()) {
     // Suspect executors get no prefetch IO: filling a possibly-dying
     // cache wastes the channel.
     if (!e.alive() || e.suspect() || e.prefetching.has_value()) continue;
-    const auto choice = master_.prefetch_candidate(e.id);
+    const NodeId node = topo_.node_of(e.id);
+    if (node != ranked) {
+      master_.rank_prefetch_candidates(node, prefetch_ranking_);
+      ranked = node;
+    }
+    const auto choice =
+        prefetch_ranking_.pick(master_.manager(e.id).free_bytes());
     if (!choice) continue;
     const auto block_ord =
         static_cast<std::size_t>(dag_->block_ord(choice->block));

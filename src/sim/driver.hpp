@@ -194,6 +194,9 @@ class SimDriver {
   std::vector<std::int64_t> attempt_next_;  // parallel to attempts_
   /// 1 = a prefetch of this block ordinal is in flight somewhere.
   std::vector<char> prefetch_inflight_;
+  /// The node ranking issue_prefetches picks from; its buffer is reused
+  /// across passes.
+  BlockManagerMaster::PrefetchRanking prefetch_ranking_;
   /// failures so far per task ordinal, for retry backoff / the cap.
   std::vector<std::int32_t> retry_counts_;
 

@@ -524,6 +524,11 @@ TEST_F(MasterFixture, PrefetchCandidatePicksHighestPriorityLocalBlock) {
   const auto choice = master_.prefetch_candidate(exec);
   ASSERT_TRUE(choice.has_value());
   EXPECT_EQ(choice->block.rdd, RddId(1));
+  // A pick from the node's ranking honours the free space it is given:
+  // nothing fits in 0 bytes.
+  BlockManagerMaster::PrefetchRanking ranking;
+  master_.rank_prefetch_candidates(replicas[0], ranking);
+  EXPECT_FALSE(ranking.pick(Bytes{0}).has_value());
   EXPECT_TRUE(master_.finish_prefetch(choice->block, exec, SimTime{1}));
   EXPECT_EQ(master_.lookup(choice->block, exec).source,
             BlockSource::LocalMemory);
@@ -545,8 +550,18 @@ TEST_F(MasterFixture, CacheDisabledMasterIsInert) {
   EXPECT_TRUE(off.memory_holders(A(0)).empty());
   off.on_block_produced(B(0), ExecutorId(0), SimTime{1});
   EXPECT_EQ(off.lookup(B(0), ExecutorId(0)).source, BlockSource::LocalDisk);
+  EXPECT_FALSE(off.prefetches());
   EXPECT_FALSE(off.prefetch_candidate(ExecutorId(0)).has_value());
   EXPECT_EQ(off.proactive_sweep(), 0);
+  // With the cache on, a policy that never prefetches leaves the master
+  // without prefetching too (the fixture's LRP does prefetch).
+  EXPECT_TRUE(master_.prefetches());
+  for (const CachePolicyKind kind :
+       {CachePolicyKind::Lru, CachePolicyKind::Lrc, CachePolicyKind::Lerc}) {
+    const auto policy = make_cache_policy(kind);
+    const BlockManagerMaster on(topo_, dag(), hdfs_, oracle_, *policy);
+    EXPECT_FALSE(on.prefetches()) << cache_policy_name(kind);
+  }
 }
 
 TEST_F(MasterFixture, CountersTrackActivity) {

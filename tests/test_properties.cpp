@@ -4,6 +4,11 @@
 // consistency, and bit-exact determinism.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <optional>
+#include <vector>
+
 #include "core/dagon.hpp"
 
 namespace dagon {
@@ -188,41 +193,281 @@ INSTANTIATE_TEST_SUITE_P(Seeds, TraceInvariants,
 
 class PolicyInvariants : public ::testing::TestWithParam<std::uint64_t> {};
 
+/// Moves `oracle` to another random state: launches a random share of
+/// the tasks not launched yet (`launched`, per stage and task), finishes
+/// a few stages, draws every pv from {0..3} (so LRP priorities tie and
+/// some are zero) and picks a random current stage.
+void randomize_oracle(Rng& rng, const JobDag& dag, ReferenceOracle& oracle,
+                      std::vector<std::vector<char>>& launched) {
+  for (const Stage& s : dag.stages()) {
+    auto& done = launched[static_cast<std::size_t>(s.id.value())];
+    for (std::int32_t t = 0; t < s.num_tasks; ++t) {
+      if (done[static_cast<std::size_t>(t)] == 0 && rng.bernoulli(0.3)) {
+        oracle.on_task_launched(s.id, t);
+        done[static_cast<std::size_t>(t)] = 1;
+      }
+    }
+    if (rng.bernoulli(0.1)) oracle.mark_stage_finished(s.id);
+  }
+  std::vector<CpuWork> pv(dag.num_stages());
+  for (CpuWork& v : pv) v = CpuWork{rng.uniform_range(0, 3)};
+  oracle.set_priority_values(std::move(pv));
+  oracle.set_current_stage(StageId(static_cast<std::int32_t>(
+      rng.uniform_int(static_cast<std::int64_t>(dag.num_stages())))));
+}
+
 TEST_P(PolicyInvariants, RetentionAndPrefetchAgree) {
   Rng rng(GetParam());
   RandomDagParams p;
   p.max_stages = 10;
   const Workload w = make_random_dag(rng, p);
   ReferenceOracle oracle(w.dag);
+  oracle.enable_peer_tracking();  // LERC's retention reads peer groups
   oracle.set_current_stage(w.dag.stages().front().id);
+  std::vector<std::vector<char>> launched;
+  for (const Stage& s : w.dag.stages()) {
+    launched.emplace_back(static_cast<std::size_t>(s.num_tasks), 0);
+  }
 
-  for (const CachePolicyKind kind :
-       {CachePolicyKind::Mrd, CachePolicyKind::Lrp}) {
-    const auto policy = make_cache_policy(kind);
-    for (const Rdd& rdd : w.dag.rdds()) {
-      for (std::int32_t part = 0; part < rdd.num_partitions; ++part) {
-        const BlockId block{rdd.id, part};
-        const auto prefetch = policy->prefetch_priority(block, oracle);
-        const double retention =
-            policy->retention_priority(block, SimTime{0}, oracle);
-        if (prefetch.has_value()) {
-          // The two scales must agree, or prefetch admission thrashes.
-          EXPECT_DOUBLE_EQ(*prefetch, retention)
-              << cache_policy_name(kind);
-          EXPECT_FALSE(policy->is_dead(block, oracle));
-        } else {
-          // Nothing prefetchable is worth keeping either (dead), except
-          // LRP's zero-priority convention.
-          EXPECT_TRUE(policy->is_dead(block, oracle) ||
-                      oracle.reference_priority(block) <= CpuWork{0});
+  constexpr CachePolicyKind kKinds[] = {
+      CachePolicyKind::Lru, CachePolicyKind::Lrc, CachePolicyKind::Mrd,
+      CachePolicyKind::Lrp, CachePolicyKind::Lerc};
+  // Blocks given a prefetch priority, per kind, over every state.
+  std::int64_t given[std::size(kKinds)] = {};
+  // State 0 is the fresh oracle; each later one is a random perturbation.
+  for (int state = 0; state < 4; ++state) {
+    if (state > 0) randomize_oracle(rng, w.dag, oracle, launched);
+    for (std::size_t k = 0; k < std::size(kKinds); ++k) {
+      const CachePolicyKind kind = kKinds[k];
+      const auto policy = make_cache_policy(kind);
+      EXPECT_EQ(policy->prefetches(),
+                kind == CachePolicyKind::Mrd || kind == CachePolicyKind::Lrp)
+          << cache_policy_name(kind);
+      for (const Rdd& rdd : w.dag.rdds()) {
+        for (std::int32_t part = 0; part < rdd.num_partitions; ++part) {
+          const BlockId block{rdd.id, part};
+          const auto prefetch = policy->prefetch_priority(block, oracle);
+          if (!policy->prefetches()) {
+            // The master keeps no candidate index for such a policy, so
+            // it must never rank a block.
+            EXPECT_FALSE(prefetch.has_value())
+                << cache_policy_name(kind) << " state " << state;
+            continue;
+          }
+          const double retention =
+              policy->retention_priority(block, SimTime{0}, oracle);
+          if (prefetch.has_value()) {
+            ++given[k];
+            // The two scales must agree, or prefetch admission thrashes.
+            EXPECT_DOUBLE_EQ(*prefetch, retention)
+                << cache_policy_name(kind);
+            EXPECT_FALSE(policy->is_dead(block, oracle));
+          } else {
+            // Nothing prefetchable is worth keeping either (dead), except
+            // LRP's zero-priority convention.
+            EXPECT_TRUE(policy->is_dead(block, oracle) ||
+                        oracle.reference_priority(block) <= CpuWork{0});
+          }
         }
       }
+    }
+  }
+  for (std::size_t k = 0; k < std::size(kKinds); ++k) {
+    if (make_cache_policy(kKinds[k])->prefetches()) {
+      EXPECT_GT(given[k], 0)
+          << cache_policy_name(kKinds[k]) << " never ranked a block";
     }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PolicyInvariants,
                          ::testing::Range<std::uint64_t>(50, 60));
+
+// --- the prefetch choice against a brute-force reference ------------------------
+
+/// The prefetch rule restated from public accessors alone: among blocks
+/// of cacheable RDDs with no memory holder and a disk copy (HDFS or
+/// produced) on `exec`'s node, of positive size at most `exec`'s free
+/// bytes, the one with the highest prefetch priority; ties go to the
+/// smaller BlockId.
+std::optional<BlockId> reference_prefetch(const JobDag& dag,
+                                          const Topology& topo,
+                                          const BlockManagerMaster& master,
+                                          const CachePolicy& policy,
+                                          ExecutorId exec) {
+  const NodeId node = topo.node_of(exec);
+  const auto on_node = [node](const std::vector<NodeId>& nodes) {
+    return std::find(nodes.begin(), nodes.end(), node) != nodes.end();
+  };
+  const Bytes free = master.manager(exec).free_bytes();
+  std::optional<BlockId> best;
+  double best_priority = 0.0;
+  for (const Rdd& rdd : dag.rdds()) {
+    if (!rdd.cacheable) continue;
+    for (std::int32_t part = 0; part < rdd.num_partitions; ++part) {
+      const BlockId block{rdd.id, part};
+      if (!master.memory_holders(block).empty()) continue;
+      if (!on_node(master.hdfs_replicas(block)) &&
+          !on_node(master.produced_disk_nodes(block))) {
+        continue;
+      }
+      const Bytes bytes = master.block_bytes(block);
+      if (bytes <= Bytes{0} || bytes > free) continue;
+      const auto priority = policy.prefetch_priority(block, master.oracle());
+      if (!priority) continue;
+      if (!best || *priority > best_priority ||
+          (*priority == best_priority && block < *best)) {
+        best = block;
+        best_priority = *priority;
+      }
+    }
+  }
+  return best;
+}
+
+/// Drives one master over `dag` through every placement hook, in a
+/// seeded random order, and after each step compares prefetch_candidate
+/// with the reference for every executor (dead ones included). Adds the
+/// number of non-empty choices compared to `*chosen`.
+void drive_and_compare(const JobDag& dag, CachePolicyKind kind,
+                       std::uint64_t seed, std::int64_t* chosen) {
+  Bytes largest{};
+  for (const Rdd& rdd : dag.rdds()) {
+    largest = std::max(largest, rdd.bytes_per_partition);
+  }
+  TopologySpec spec;
+  spec.racks = 2;
+  spec.nodes_per_rack = 2;
+  spec.executors_per_node = 2;
+  spec.cores_per_executor = Cpus{4};
+  // About three of the largest blocks per executor: admissions get
+  // refused and blocks evicted, so the candidate sets keep changing.
+  spec.cache_bytes_per_executor = 3 * largest;
+  const Topology topo(spec);
+  Rng rng(seed);
+  HdfsSpec hdfs_spec;
+  hdfs_spec.replication = 2;
+  const HdfsPlacement hdfs(dag, topo, hdfs_spec, rng);
+  ReferenceOracle oracle(dag);
+  const auto policy = make_cache_policy(kind);
+  BlockManagerMaster master(topo, dag, hdfs, oracle, *policy);
+
+  const auto check = [&](const char* step) {
+    for (const Executor& e : topo.executors()) {
+      const auto got = master.prefetch_candidate(e.id);
+      const auto want = reference_prefetch(dag, topo, master, *policy, e.id);
+      ASSERT_EQ(got.has_value(), want.has_value())
+          << cache_policy_name(kind) << " after " << step << ", exec "
+          << e.id;
+      if (!got) continue;
+      EXPECT_EQ(got->block, *want)
+          << cache_policy_name(kind) << " after " << step;
+      EXPECT_EQ(got->bytes, master.block_bytes(*want));
+      EXPECT_EQ(got->from_disk, topo.node_of(e.id));
+      ++*chosen;
+    }
+  };
+  const auto num_execs = static_cast<std::int64_t>(topo.num_executors());
+  std::vector<char> dead(topo.num_executors(), 0);
+  std::int64_t num_dead = 0;
+  const auto live_exec = [&] {
+    for (;;) {
+      const ExecutorId e(
+          static_cast<std::int32_t>(rng.uniform_int(num_execs)));
+      if (dead[static_cast<std::size_t>(e.value())] == 0) return e;
+    }
+  };
+
+  SimTime now{};
+  master.seed_initial_cache(now);
+  check("seed_initial_cache");
+  for (const StageId s : dag.topological_order()) {
+    oracle.set_current_stage(s);
+    std::vector<CpuWork> pv(dag.num_stages());
+    for (CpuWork& v : pv) v = CpuWork{rng.uniform_range(0, 3)};
+    oracle.set_priority_values(std::move(pv));
+    const Stage& stage = dag.stage(s);
+    for (std::int32_t t = 0; t < stage.num_tasks; ++t) {
+      now += kSec;
+      const ExecutorId e = live_exec();
+      oracle.on_task_launched(s, t);
+      // Memory reads touch; disk reads of cacheable blocks admit.
+      for (const TaskInput& in : dag.task_inputs(s, t)) {
+        if (!master.exists(in.block)) continue;
+        master.on_block_read(in.block, e, master.lookup(in.block, e), now);
+      }
+      check("on_block_read");
+      if (dag.rdd(stage.output).bytes_per_partition > Bytes{0}) {
+        master.on_block_produced(BlockId{stage.output, t}, e, now);
+        check("on_block_produced");
+      }
+      if (rng.bernoulli(0.2)) {
+        const ExecutorId f = live_exec();
+        if (const auto choice = master.prefetch_candidate(f)) {
+          (void)master.finish_prefetch(choice->block, f, now);
+          check("finish_prefetch");
+        }
+      }
+      if (rng.bernoulli(0.1)) {
+        const ExecutorId v = live_exec();
+        const auto& entries = master.manager(v).entries();
+        if (!entries.empty()) {
+          const auto i = static_cast<std::size_t>(
+              rng.uniform_int(static_cast<std::int64_t>(entries.size())));
+          const BlockId lost = entries[i].id;
+          EXPECT_TRUE(master.drop_memory_block(lost, v));
+          check("drop_memory_block");
+        }
+      }
+    }
+    oracle.mark_stage_finished(s);
+    (void)master.proactive_sweep();
+    check("proactive_sweep");
+    if (rng.bernoulli(0.4)) {
+      // A gray failure: suspicion, re-replication onto a healthy
+      // executor, then either recovery or death.
+      const ExecutorId x = live_exec();
+      master.set_executor_suspect(x, true);
+      check("set_executor_suspect");
+      ExecutorId target = live_exec();
+      while (target == x) target = live_exec();
+      (void)master.rereplicate_suspect_blocks(target);
+      check("rereplicate_suspect_blocks");
+      master.set_executor_suspect(x, false);
+      if (num_dead + 2 < num_execs && rng.bernoulli(0.5)) {
+        (void)master.drop_executor(x);
+        dead[static_cast<std::size_t>(x.value())] = 1;
+        ++num_dead;
+        check("drop_executor");
+      }
+    }
+  }
+}
+
+class PrefetchReference : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(PrefetchReference, ChoiceMatchesBruteForce) {
+  Rng rng(GetParam());
+  RandomDagParams p;
+  p.max_stages = 10;
+  p.max_tasks = 12;
+  const Workload random = make_random_dag(rng, p);
+  // Fig. 1 seeds memory with initially cached input blocks; random DAGs
+  // start with every cacheable input on disk.
+  const Workload fig1 = make_example_dag();
+  for (const CachePolicyKind kind :
+       {CachePolicyKind::Mrd, CachePolicyKind::Lrp}) {
+    for (const Workload* w : {&fig1, &random}) {
+      std::int64_t chosen = 0;
+      drive_and_compare(w->dag, kind, GetParam(), &chosen);
+      EXPECT_GT(chosen, 0) << cache_policy_name(kind) << " on " << w->name
+                           << ": no choice was ever compared";
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PrefetchReference,
+                         ::testing::Range<std::uint64_t>(70, 76));
 
 // --- block-level reference consumption ------------------------------------------
 

@@ -268,21 +268,40 @@ TEST(SimDriver, PerExecutorProfilesCollectedOnDemand) {
   EXPECT_FALSE(r.metrics.executor_profiles[0].pending.empty());
 }
 
-TEST(SimDriver, PrefetchingHappensForLrp) {
-  // ConnectedComponent: each superstep kills the previous vertex-state
-  // RDD; the proactive sweep frees space and the evicted in-adjacency
-  // blocks get prefetched back from local disk.
-  const Workload w = make_connected_component(16);
+/// ConnectedComponent (16 partitions) on 2 nodes x 2 executors with room
+/// to cache: each superstep kills the previous vertex-state RDD, the
+/// proactive sweep frees space, and a prefetching policy brings the
+/// evicted in-adjacency blocks back from local disk.
+RunResult run_connected_component(CachePolicyKind cache) {
   SimConfig config;
   config.topology.racks = 1;
   config.topology.nodes_per_rack = 2;
   config.topology.executors_per_node = 2;
   config.topology.cores_per_executor = Cpus{4};
   config.topology.cache_bytes_per_executor = 512 * kMiB;
-  config.cache = CachePolicyKind::Lrp;
-  const RunResult r = run_workload(w, config);
+  config.cache = cache;
+  return run_workload(make_connected_component(16), config);
+}
+
+TEST(SimDriver, PrefetchingHappensForLrp) {
+  const RunResult r = run_connected_component(CachePolicyKind::Lrp);
   EXPECT_GT(r.metrics.cache.prefetches, 0);
   EXPECT_GT(r.metrics.cache.proactive_evictions, 0);
+}
+
+TEST(SimDriver, PrefetchingHappensForMrd) {
+  const RunResult r = run_connected_component(CachePolicyKind::Mrd);
+  EXPECT_GT(r.metrics.cache.prefetches, 0);
+  EXPECT_GT(r.metrics.cache.proactive_evictions, 0);
+}
+
+TEST(SimDriver, NoPrefetchingForPoliciesThatNeverPrefetch) {
+  for (const CachePolicyKind kind :
+       {CachePolicyKind::Lru, CachePolicyKind::Lrc, CachePolicyKind::Lerc}) {
+    const RunResult r = run_connected_component(kind);
+    EXPECT_EQ(r.metrics.cache.prefetches, 0) << cache_policy_name(kind);
+    EXPECT_GT(r.metrics.cache.disk_reads, 0) << cache_policy_name(kind);
+  }
 }
 
 TEST(SimDriver, LocalityHistogramPopulated) {
