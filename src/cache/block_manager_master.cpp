@@ -226,7 +226,7 @@ void BlockManagerMaster::apply_insert(
     auto& holders = memory_copies_[o];
     if (std::find(holders.begin(), holders.end(), exec) == holders.end()) {
       holders.push_back(exec);
-      ++placement_version_;
+      journal(block);
     }
     // First holder promotes the block to Memory (from Materializing on
     // the produce path, Disk on a read-admit, Evicted on a re-admit).
@@ -255,7 +255,7 @@ void BlockManagerMaster::note_evicted(const BlockId& block, ExecutorId exec) {
   if (holders.empty()) return;
   holders.erase(std::remove(holders.begin(), holders.end(), exec),
                 holders.end());
-  ++placement_version_;
+  journal(block);
   if (holders.empty()) {
     // Last memory copy gone; the durable disk copy keeps the block
     // recoverable (eviction is always safe, DESIGN.md §4).
@@ -264,6 +264,12 @@ void BlockManagerMaster::note_evicted(const BlockId& block, ExecutorId exec) {
     oracle_->set_memory_resident(block, false);
     if (dag_->rdd(block.rdd).cacheable) add_prefetchable(block);
   }
+}
+
+void BlockManagerMaster::journal(const BlockId& block) {
+  if (journal_.size() == kJournalCap) journal_.clear();
+  journal_.push_back(block);
+  ++journal_end_;
 }
 
 void BlockManagerMaster::on_block_produced(const BlockId& block,
@@ -283,7 +289,7 @@ void BlockManagerMaster::on_block_produced(const BlockId& block,
     if (was_pf) unindex_prefetchable(block);
     disks.push_back(node);
     if (was_pf) index_prefetchable(block);
-    ++placement_version_;
+    journal(block);
   }
   // Lifecycle: Absent → Materializing on first production, Lost →
   // Materializing on a lineage recompute; apply_insert (or the
@@ -395,7 +401,7 @@ BlockManagerMaster::DropResult BlockManagerMaster::drop_executor(
   DropResult result;
 
   // 1. Destroy the executor's memory store (ascending block id for
-  // deterministic placement_version / prefetchable churn).
+  // deterministic journal / prefetchable churn).
   BlockManager& mgr = manager(exec);
   std::vector<BlockId> mem_blocks;
   mem_blocks.reserve(mgr.num_blocks());
@@ -441,7 +447,7 @@ BlockManagerMaster::DropResult BlockManagerMaster::drop_executor(
     const bool was_pf = prefetchable_[o] != 0;
     if (was_pf) unindex_prefetchable(block);
     disks = std::move(nodes);
-    ++placement_version_;
+    journal(block);
 
     if (!disks.empty() ||
         !hdfs_->replicas_by_ord(static_cast<std::int64_t>(o)).empty()) {
@@ -484,8 +490,11 @@ void BlockManagerMaster::set_executor_suspect(ExecutorId exec, bool suspect) {
   if (flag == value) return;
   flag = value;
   // No block moved, but locality answers derived from this executor's
-  // memory copies just changed — invalidate the memos.
-  ++placement_version_;
+  // memory copies just changed. Task locality filters only memory
+  // holders by suspicion, so those blocks are all that changed.
+  for (const BlockManager::Entry& e : manager(exec).entries()) {
+    journal(e.id);
+  }
 }
 
 bool BlockManagerMaster::any_healthy_memory_holder(
@@ -503,7 +512,7 @@ BlockManagerMaster::rereplicate_suspect_blocks(ExecutorId target) {
 
   // At-risk = every produced-disk attribution on a suspect executor, no
   // HDFS replica, and no healthy memory holder. Ascending-ordinal scan
-  // for deterministic placement_version churn.
+  // for a deterministic journal.
   std::vector<std::size_t> at_risk;
   for (std::size_t o = 0; o < produced_by_.size(); ++o) {
     const auto& producers = produced_by_[o];
@@ -541,7 +550,7 @@ BlockManagerMaster::rereplicate_suspect_blocks(ExecutorId target) {
       disks.push_back(target_node);
       if (was_pf) index_prefetchable(block);
     }
-    ++placement_version_;
+    journal(block);
     ++result.blocks;
     result.bytes += std::max(block_bytes(block), Bytes{0});
   }

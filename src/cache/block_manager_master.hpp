@@ -162,8 +162,9 @@ class BlockManagerMaster {
   /// Marks `exec` suspect (or clears the mark). Suspect executors still
   /// serve reads — a gray-failed executor is reachable, just untrusted —
   /// but their memory copies grant no locality preference, so the
-  /// scheduler stops steering tasks toward them. Bumps
-  /// placement_version() on a change so LocalityCache resyncs.
+  /// scheduler stops steering tasks toward them. On a change, journals
+  /// every block in `exec`'s memory store: those are the only locality
+  /// answers the flip changes.
   void set_executor_suspect(ExecutorId exec, bool suspect);
   [[nodiscard]] bool executor_suspect(ExecutorId exec) const {
     return suspect_[static_cast<std::size_t>(exec.value())] != 0;
@@ -203,12 +204,28 @@ class BlockManagerMaster {
   };
   [[nodiscard]] const Counters& counters() const { return counters_; }
 
-  /// Monotonic counter bumped on every change of block placement
-  /// (memory admit/evict, new durable disk copy). Consumers caching
-  /// placement-derived data (e.g. LocalityCache) compare it to decide
-  /// whether their caches are still valid.
-  [[nodiscard]] std::uint64_t placement_version() const {
-    return placement_version_;
+  // -- placement journal ---------------------------------------------------
+  //
+  // One entry per change to where a block can be read from or to whether
+  // its memory copies grant locality: a memory copy admitted or evicted,
+  // a durable disk copy written or destroyed, and on a suspicion flip
+  // every block in that executor's memory store. Consumers caching
+  // placement-derived answers (LocalityCache, the delay policies'
+  // refusal records) keep a cursor into it. Positions count every entry
+  // ever appended. The master does not know its readers, so it bounds
+  // the journal instead of truncating behind them: an append to a full
+  // journal first drops every entry, and a reader whose cursor is then
+  // behind journal_begin() must treat every block as changed.
+
+  static constexpr std::size_t kJournalCap = 4096;
+
+  [[nodiscard]] std::uint64_t journal_begin() const {
+    return journal_end_ - journal_.size();
+  }
+  [[nodiscard]] std::uint64_t journal_end() const { return journal_end_; }
+  /// Entry at `pos`, for journal_begin() <= pos < journal_end().
+  [[nodiscard]] const BlockId& journal_at(std::uint64_t pos) const {
+    return journal_[static_cast<std::size_t>(pos - journal_begin())];
   }
 
   // -- lifecycle (fsm::StateMachine<BlockResidency>) -----------------------
@@ -239,6 +256,7 @@ class BlockManagerMaster {
   void apply_insert(const BlockManager::InsertResult& result,
                     const BlockId& block, ExecutorId exec);
   void note_evicted(const BlockId& block, ExecutorId exec);
+  void journal(const BlockId& block);
   /// Routes every residency write through the transition table.
   void set_residency(const BlockId& block, BlockResidency to);
 
@@ -286,7 +304,9 @@ class BlockManagerMaster {
   std::vector<BlockResidency> residency_;
   fsm::Violations* fsm_violations_ = nullptr;
   Counters counters_;
-  std::uint64_t placement_version_ = 1;
+  /// Entries [journal_begin(), journal_end()) of the placement journal.
+  std::vector<BlockId> journal_;
+  std::uint64_t journal_end_ = 0;
 };
 
 }  // namespace dagon

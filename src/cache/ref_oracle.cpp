@@ -12,38 +12,33 @@ ReferenceOracle::ReferenceOracle(const JobDag& dag) : dag_(&dag) {
   active_.assign(dag.num_stages(), 1);
   pv_ = initial_priority_values(dag);
   refs_.resize(static_cast<std::size_t>(dag.num_blocks()));
+  // Stages are visited in ascending id order, so every block's list is
+  // born sorted by stage. A stage may reference one RDD through several
+  // edges: merge its duplicate (block, stage) record into the tail entry,
+  // keeping the max remaining count.
+  const auto add = [&](const BlockId& block, Ref ref) {
+    std::vector<Ref>& refs = refs_of(block);
+    if (!refs.empty() && refs.back().stage == ref.stage) {
+      refs.back().remaining = std::max(refs.back().remaining, ref.remaining);
+    } else {
+      refs.push_back(ref);
+    }
+  };
   for (const Stage& s : dag.stages()) {
     for (const RddRef& ref : s.inputs) {
       const Rdd& parent = dag.rdd(ref.rdd);
       if (ref.kind == DepKind::Narrow) {
         // Block k is read by exactly task k.
         for (std::int32_t t = 0; t < s.num_tasks; ++t) {
-          refs_of(BlockId{ref.rdd, t}).push_back(Ref{s.id, 1});
+          add(BlockId{ref.rdd, t}, Ref{s.id, 1});
         }
       } else {
         // Every task pulls a slice of every parent block.
         for (std::int32_t p = 0; p < parent.num_partitions; ++p) {
-          refs_of(BlockId{ref.rdd, p}).push_back(Ref{s.id, s.num_tasks});
+          add(BlockId{ref.rdd, p}, Ref{s.id, s.num_tasks});
         }
       }
     }
-  }
-  for (std::vector<Ref>& refs : refs_) {
-    if (refs.empty()) continue;
-    std::sort(refs.begin(), refs.end(),
-              [](const Ref& a, const Ref& b) { return a.stage < b.stage; });
-    // Merge duplicate (block, stage) records (a stage may reference one
-    // RDD through several edges; keep the max remaining count).
-    std::vector<Ref> merged;
-    for (const Ref& r : refs) {
-      if (!merged.empty() && merged.back().stage == r.stage) {
-        merged.back().remaining = std::max(merged.back().remaining,
-                                           r.remaining);
-      } else {
-        merged.push_back(r);
-      }
-    }
-    refs = std::move(merged);
   }
 }
 

@@ -1,6 +1,7 @@
 #include "sched/delay_scheduling.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "common/error.hpp"
 #include "common/log.hpp"
@@ -18,6 +19,28 @@ std::size_t level_index(const std::vector<Locality>& levels, Locality l) {
 }
 
 }  // namespace
+
+std::optional<Assignment> DelayPolicy::find(JobState& state,
+                                            const BlockManagerMaster& master,
+                                            StageId s, SimTime now) const {
+  const StageRuntime& rt = state.stage(s);
+  const Refusal key{now, master.journal_end(), state.capacity_epoch(),
+                    rt.epoch, rt.running};
+  if (refusals_.empty()) refusals_.resize(state.dag().num_stages());
+  Refusal& last = refusals_[static_cast<std::size_t>(s.value())];
+  if (last == key) {
+#ifndef NDEBUG
+    DAGON_CHECK_MSG(!scan(state, master, s, now),
+                    "refusal record of stage "
+                        << s << " skipped a launch at "
+                        << format_duration(now));
+#endif
+    return std::nullopt;
+  }
+  auto chosen = scan(state, master, s, now);
+  if (!chosen) last = key;
+  return chosen;
+}
 
 Locality DelayPolicy::allowed_locality(JobState& state,
                                        const BlockManagerMaster& master,
@@ -76,7 +99,7 @@ std::optional<Assignment> DelayPolicy::best_task_on(
   return best;
 }
 
-std::optional<Assignment> NativeDelayPolicy::find(
+std::optional<Assignment> NativeDelayPolicy::scan(
     JobState& state, const BlockManagerMaster& master, StageId s,
     SimTime now) const {
   const Locality allowed = allowed_locality(state, master, s, now);
@@ -102,7 +125,7 @@ std::optional<Assignment> NativeDelayPolicy::find(
   return chosen;
 }
 
-std::optional<Assignment> SensitivityAwareDelayPolicy::find(
+std::optional<Assignment> SensitivityAwareDelayPolicy::scan(
     JobState& state, const BlockManagerMaster& master, StageId s,
     SimTime now) const {
   const Locality allowed = allowed_locality(state, master, s, now);
@@ -110,6 +133,9 @@ std::optional<Assignment> SensitivityAwareDelayPolicy::find(
   // Algorithm 2: accept a lower-locality task when it finishes within
   // the stage's earliest completion time (Eq. 7, with slack).
   const SimTime ect = scale_time(estimator.earliest_completion(s), ect_slack_);
+  // The estimate depends only on the stage and the level, and nothing
+  // in this call changes either: ask once per level.
+  std::array<std::optional<SimTime>, 5> est_by_level;
   std::optional<Assignment> chosen;
   state.for_each_free_executor([&](ExecutorId exec) {
     if (!state.executor(exec).schedulable(now)) return false;
@@ -119,7 +145,9 @@ std::optional<Assignment> SensitivityAwareDelayPolicy::find(
       chosen = best;
       return true;
     }
-    const SimTime est = estimator.estimate(s, best->locality);
+    auto& cached = est_by_level[static_cast<std::size_t>(best->locality)];
+    if (!cached) cached = estimator.estimate(s, best->locality);
+    const SimTime est = *cached;
     if (est < ect) {
       DAGON_TRACE("algorithm2 accepts stage "
                   << s << " task " << best->task_index << " @"

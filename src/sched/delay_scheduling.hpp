@@ -40,9 +40,15 @@ class DelayPolicy {
   /// then this policy's on_launch.
   /// Mutates only the stage's delay-ladder bookkeeping (index/timer),
   /// exactly as Spark's getAllowedLocalityLevel does.
-  [[nodiscard]] virtual std::optional<Assignment> find(
-      JobState& state, const BlockManagerMaster& master, StageId s,
-      SimTime now) const = 0;
+  ///
+  /// A refusal is recorded per stage and repeated without a scan while
+  /// all it read is unchanged: the same `now`, placement journal end,
+  /// capacity epoch, stage epoch and `running` (DESIGN.md §11 argues why
+  /// nothing else can turn it into a launch). Without NDEBUG a repeated
+  /// refusal still scans, and throws InvariantError if it would launch.
+  [[nodiscard]] std::optional<Assignment> find(JobState& state,
+                                               const BlockManagerMaster& master,
+                                               StageId s, SimTime now) const;
 
   /// Resets the stage's wait timer after a successful launch at `l`
   /// (Spark: currentLocalityIndex := index of the launched level).
@@ -52,6 +58,11 @@ class DelayPolicy {
   [[nodiscard]] const LocalityWaits& waits() const { return waits_; }
 
  protected:
+  /// The policy's own decision: find() without the refusal record.
+  [[nodiscard]] virtual std::optional<Assignment> scan(
+      JobState& state, const BlockManagerMaster& master, StageId s,
+      SimTime now) const = 0;
+
   /// Spark's getAllowedLocalityLevel: walks the wait ladder based on the
   /// time since the last launch at the current level.
   [[nodiscard]] Locality allowed_locality(JobState& state,
@@ -69,6 +80,20 @@ class DelayPolicy {
   /// Pure memo of placement-derived answers (see LocalityCache); safe to
   /// mutate from const find() — it never changes observable results.
   mutable LocalityCache cache_;
+
+ private:
+  /// What a refusal read (see find); one per stage, `now` = -1 until the
+  /// stage is first refused.
+  struct Refusal {
+    SimTime now{-1};
+    std::uint64_t journal_end = 0;
+    std::uint64_t capacity_epoch = 0;
+    std::uint64_t stage_epoch = 0;
+    std::int32_t running = 0;
+    bool operator==(const Refusal&) const = default;
+  };
+  /// Indexed by stage id; like cache_, a memo that never changes results.
+  mutable std::vector<Refusal> refusals_;
 };
 
 /// Spark's stock delay scheduling: launch only at the allowed level or
@@ -77,7 +102,9 @@ class NativeDelayPolicy final : public DelayPolicy {
  public:
   using DelayPolicy::DelayPolicy;
   [[nodiscard]] const char* name() const override { return "delay"; }
-  [[nodiscard]] std::optional<Assignment> find(
+
+ protected:
+  [[nodiscard]] std::optional<Assignment> scan(
       JobState& state, const BlockManagerMaster& master, StageId s,
       SimTime now) const override;
 };
@@ -98,7 +125,9 @@ class SensitivityAwareDelayPolicy final : public DelayPolicy {
   [[nodiscard]] const char* name() const override {
     return "sensitivity-aware";
   }
-  [[nodiscard]] std::optional<Assignment> find(
+
+ protected:
+  [[nodiscard]] std::optional<Assignment> scan(
       JobState& state, const BlockManagerMaster& master, StageId s,
       SimTime now) const override;
 

@@ -89,6 +89,7 @@ void JobState::set_free_cores(ExecutorId exec, Cpus cores) {
   ExecutorRuntime& e = executor(exec);
   const bool was_free = e.free_cores_ > Cpus{0};
   const bool is_free = cores > Cpus{0};
+  if (cores > e.free_cores_) ++capacity_epoch_;
   e.free_cores_ = cores;
   if (was_free != is_free) {
     const auto idx = static_cast<std::size_t>(exec.value());
@@ -99,6 +100,13 @@ void JobState::set_free_cores(ExecutorId exec, Cpus cores) {
 
 void JobState::add_free_cores(ExecutorId exec, Cpus delta) {
   set_free_cores(exec, executor(exec).free_cores_ + delta);
+}
+
+void JobState::set_health(ExecutorId exec, ExecutorHealth to,
+                          fsm::Violations* violations) {
+  ExecutorRuntime& e = executor(exec);
+  if (e.health_ == ExecutorHealth::Suspect) ++capacity_epoch_;
+  fsm::transition(e.health_, to, exec.value(), violations);
 }
 
 CpuWork JobState::priority_value(StageId id) const {
@@ -137,6 +145,7 @@ void JobState::mark_launched(StageId s, std::int32_t index, ExecutorId exec,
   set_status(rt, index, TaskStatus::Running);
   rt.pending.erase(index);
   ++rt.running;
+  ++rt.epoch;
   if (rt.first_launch < SimTime{0}) rt.first_launch = now;
 
   const StageEstimate& est = profile_->stage(s);
@@ -161,6 +170,7 @@ bool JobState::mark_finished(StageId s, std::int32_t index, ExecutorId exec,
   set_status(rt, index, TaskStatus::Finished);
   --rt.running;
   ++rt.finished_tasks;
+  ++rt.epoch;
 
   const auto li = static_cast<std::size_t>(locality);
   rt.locality_duration_sum[li] += static_cast<double>((now - launch_time).count());
@@ -221,6 +231,7 @@ void JobState::readd_pending(StageId s, std::int32_t index) {
   DAGON_CHECK(index >= 0 && index < rt.num_tasks);
   set_status(rt, index, TaskStatus::Pending);
   rt.pending.push_back(index);
+  ++rt.epoch;
   const StageEstimate& est = profile_->stage(s);
   rt.remaining_work += est.task_cpus * est.task_duration;
   ++pv_epoch_;
@@ -240,6 +251,7 @@ void JobState::reopen_task(StageId s, std::int32_t index) {
     rt.finish_time = SimTime{-1};
   }
   rt.pending.push_back(index);
+  ++rt.epoch;
   const StageEstimate& est = profile_->stage(s);
   rt.remaining_work += est.task_cpus * est.task_duration;
   ++pv_epoch_;

@@ -54,6 +54,11 @@ struct StageRuntime {
   std::int32_t running = 0;
   std::int32_t finished_tasks = 0;
   std::int32_t num_tasks = 0;
+  /// Bumped by every JobState call that changes the pending set or the
+  /// finished tasks' durations (mark_launched, mark_finished,
+  /// readd_pending, reopen_task). Not by changes to `running` alone: the
+  /// driver also moves it for speculative copies.
+  std::uint64_t epoch = 0;
 
   /// Estimated unprocessed workload (the paper's w_i): decremented by
   /// d_i · est_duration as each task is *assigned* (Table III).
@@ -90,14 +95,6 @@ struct StageRuntime {
 
 struct ExecutorRuntime {
   ExecutorId id;
-  /// Healthy / Suspect / Dead lifecycle (fsm::StateMachine<
-  /// ExecutorHealth>). Dead once the fault plan crashed this executor —
-  /// it holds no cores and is skipped by every placement decision.
-  /// Suspect while the failure detector sees missed heartbeats: the
-  /// executor keeps its cores and running attempts — it may well recover
-  /// — but receives no new launches and grants no locality preference.
-  /// Every write flows through fsm::transition() in the driver.
-  ExecutorHealth health = ExecutorHealth::Healthy;
   /// End of blacklist probation; 0 when not blacklisted. A blacklisted
   /// executor receives no new launches until the probation expires.
   SimTime blacklisted_until{};
@@ -118,22 +115,31 @@ struct ExecutorRuntime {
   std::int32_t speed_tier = -1;
   double speed_mult = 1.0;
 
-  [[nodiscard]] bool alive() const { return health != ExecutorHealth::Dead; }
+  [[nodiscard]] bool alive() const { return health_ != ExecutorHealth::Dead; }
   [[nodiscard]] bool suspect() const {
-    return health == ExecutorHealth::Suspect;
+    return health_ == ExecutorHealth::Suspect;
   }
 
   /// May the scheduler place a *new* attempt here at `now`? Dead,
   /// suspect and blacklisted executors are all excluded; already-running
   /// attempts are unaffected.
   [[nodiscard]] bool schedulable(SimTime now) const {
-    return health == ExecutorHealth::Healthy && blacklisted_until <= now;
+    return health_ == ExecutorHealth::Healthy && blacklisted_until <= now;
   }
 
   [[nodiscard]] Cpus free_cores() const { return free_cores_; }
 
  private:
   friend class JobState;
+  /// Healthy / Suspect / Dead lifecycle (fsm::StateMachine<
+  /// ExecutorHealth>). Dead once the fault plan crashed this executor —
+  /// it holds no cores and is skipped by every placement decision.
+  /// Suspect while the failure detector sees missed heartbeats: the
+  /// executor keeps its cores and running attempts — it may well recover
+  /// — but receives no new launches and grants no locality preference.
+  /// Writable only through JobState (set_health), which bumps the
+  /// capacity epoch when the executor leaves suspicion.
+  ExecutorHealth health_ = ExecutorHealth::Healthy;
   /// Writable only through JobState (set_free_cores / add_free_cores /
   /// mark_launched / mark_finished), which keeps the free-slot index in
   /// lockstep with the value.
@@ -214,6 +220,19 @@ class JobState {
 
   /// Adjusts `exec`'s free cores by `delta`, updating the index.
   void add_free_cores(ExecutorId exec, Cpus delta);
+
+  /// Moves `exec`'s health along the executor lifecycle table
+  /// (fsm::transition; `violations` as there).
+  void set_health(ExecutorId exec, ExecutorHealth to,
+                  fsm::Violations* violations = nullptr);
+
+  /// Bumped whenever an executor may have gained room for a launch: its
+  /// free cores rose, or it left suspicion. Nothing else turns an
+  /// executor that refused a stage into one that accepts it at the same
+  /// instant (see DelayPolicy::find).
+  [[nodiscard]] std::uint64_t capacity_epoch() const {
+    return capacity_epoch_;
+  }
 
   /// Visits every executor with free_cores() > 0 in the exact order the
   /// historical full scan used — executor ids rotated left by
@@ -343,6 +362,7 @@ class JobState {
   /// Σ tasks_launched over all executors (the rotation phase).
   std::int64_t total_launched_ = 0;
   std::uint64_t pv_epoch_ = 1;
+  std::uint64_t capacity_epoch_ = 0;
   fsm::Violations* fsm_violations_ = nullptr;
 };
 

@@ -101,22 +101,51 @@ std::vector<Locality> valid_locality_levels(const JobDag& dag,
 
 // --- LocalityCache ---------------------------------------------------------
 
-void LocalityCache::sync(const BlockManagerMaster& master) {
-  if (version_ == master.placement_version()) return;
-  version_ = master.placement_version();
-  for (auto& slots : loc_) {
-    std::fill(slots.begin(), slots.end(), static_cast<std::int8_t>(-1));
+void LocalityCache::catch_up(const JobDag& dag,
+                             const BlockManagerMaster& master) {
+  constexpr auto kUnknown = static_cast<std::int8_t>(-1);
+  const std::uint64_t end = master.journal_end();
+  if (cursor_ < master.journal_begin()) {
+    // The journal dropped entries this memo never read.
+    for (auto& slots : loc_) std::fill(slots.begin(), slots.end(), kUnknown);
+    for (auto& bits : mem_pref_) std::fill(bits.begin(), bits.end(), kUnknown);
+    cursor_ = end;
+    return;
   }
-  for (auto& bits : mem_pref_) {
-    std::fill(bits.begin(), bits.end(), static_cast<std::int8_t>(-1));
+  if (narrow_readers_.empty()) {
+    narrow_readers_.resize(dag.rdds().size());
+    for (const Stage& s : dag.stages()) {
+      for (const RddRef& ref : s.inputs) {
+        if (ref.kind != DepKind::Narrow) continue;
+        narrow_readers_[static_cast<std::size_t>(ref.rdd.value())].push_back(
+            s.id);
+      }
+    }
   }
+  for (std::uint64_t pos = cursor_; pos < end; ++pos) {
+    const BlockId& block = master.journal_at(pos);
+    const auto row = static_cast<std::size_t>(block.partition);
+    for (const StageId s :
+         narrow_readers_[static_cast<std::size_t>(block.rdd.value())]) {
+      const auto si = static_cast<std::size_t>(s.value());
+      if (si < loc_.size() && !loc_[si].empty()) {
+        std::fill_n(loc_[si].begin() +
+                        static_cast<std::ptrdiff_t>(row * num_executors_),
+                    num_executors_, kUnknown);
+      }
+      if (si < mem_pref_.size() && !mem_pref_[si].empty()) {
+        mem_pref_[si][row] = kUnknown;
+      }
+    }
+  }
+  cursor_ = end;
 }
 
 Locality LocalityCache::locality(const JobDag& dag,
                                  const BlockManagerMaster& master,
                                  const Topology& topo, StageId s,
                                  std::int32_t index, ExecutorId exec) {
-  sync(master);
+  sync(dag, master);
   if (loc_.empty()) {
     loc_.resize(dag.num_stages());
     num_executors_ = topo.num_executors();
@@ -143,7 +172,7 @@ Locality LocalityCache::locality(const JobDag& dag,
 bool LocalityCache::any_process_pref(const JobDag& dag,
                                      const BlockManagerMaster& master,
                                      const StageRuntime& stage) {
-  sync(master);
+  sync(dag, master);
   if (mem_pref_.empty()) mem_pref_.resize(dag.num_stages());
   auto& bits = mem_pref_[static_cast<std::size_t>(stage.id.value())];
   const Stage& s = dag.stage(stage.id);

@@ -30,11 +30,13 @@ namespace dagon {
     const Topology& topo, const StageRuntime& stage);
 
 /// Memoizes task_locality_on answers per (stage, task, executor) plus a
-/// per-(stage, task) "has a memory-resident input" bit, keyed on the
-/// master's placement_version(): the answers depend only on block
-/// placement, so the memo stays valid across every event that moves no
-/// block and is dropped wholesale the moment one does (block admit,
-/// evict, or a task finish producing a new durable copy).
+/// per-(stage, task) "has a memory-resident input" bit. Task i of a
+/// stage reads only blocks (r, i) of its narrow parents r, so its
+/// answers change only when the master journals one of those blocks.
+/// Before answering, the memo reads the placement journal from its own
+/// cursor and resets, for each journaled block (r, i), row i of every
+/// stage that narrow-reads r; it resets everything only when the
+/// journal dropped entries the cursor had not read yet.
 ///
 /// This turns the scheduler's O(pending × executors) inner loop from
 /// recompute-per-event into amortized array reads. One instance serves
@@ -69,14 +71,22 @@ class LocalityCache {
                                              const StageRuntime& stage);
 
  private:
-  void sync(const BlockManagerMaster& master);
+  /// Catches up with the placement journal. The caught-up test stays
+  /// inline: it runs on every memo lookup.
+  void sync(const JobDag& dag, const BlockManagerMaster& master) {
+    if (cursor_ != master.journal_end()) catch_up(dag, master);
+  }
+  void catch_up(const JobDag& dag, const BlockManagerMaster& master);
 
-  std::uint64_t version_ = 0;  // 0 = never synced (real versions start at 1)
+  /// Journal position up to which the memo has applied every entry.
+  std::uint64_t cursor_ = 0;
   std::size_t num_executors_ = 0;
   /// Per stage: num_tasks × num_executors locality values, -1 = unknown.
   std::vector<std::vector<std::int8_t>> loc_;
   /// Per stage: per task, 1/0 = has/lacks a memory holder, -1 = unknown.
   std::vector<std::vector<std::int8_t>> mem_pref_;
+  /// Per RDD id: the stages that read it through a narrow dependency.
+  std::vector<std::vector<StageId>> narrow_readers_;
 };
 
 }  // namespace dagon

@@ -938,8 +938,7 @@ void SimDriver::handle_executor_crash(ExecutorId exec, SimTime now) {
 
   // 2. Remove the executor from the cluster for good. Suspicion was
   // cleared above, so the edge here is always Healthy → Dead.
-  fsm::transition(e.health, ExecutorHealth::Dead, exec.value(),
-                  &metrics_.fsm.executor);
+  state_.set_health(exec, ExecutorHealth::Dead, &metrics_.fsm.executor);
   if (e.reserved_cores > Cpus{0}) {
     metrics_.reserved_cores.add(now,
                                 -static_cast<double>(e.reserved_cores.count()));
@@ -1179,9 +1178,7 @@ void SimDriver::evaluate_executor(ExecutorId exec, SimTime now) {
 }
 
 void SimDriver::enter_suspicion(ExecutorId exec, SimTime now) {
-  ExecutorRuntime& e = state_.executor(exec);
-  fsm::transition(e.health, ExecutorHealth::Suspect, exec.value(),
-                  &metrics_.fsm.executor);
+  state_.set_health(exec, ExecutorHealth::Suspect, &metrics_.fsm.executor);
   master_.set_executor_suspect(exec, true);
   ++metrics_.faults.suspicions;
   ++exec_faults(exec).suspicions;
@@ -1213,9 +1210,7 @@ void SimDriver::enter_suspicion(ExecutorId exec, SimTime now) {
 
 void SimDriver::clear_suspicion(ExecutorId exec, SimTime now,
                                 bool recovered) {
-  ExecutorRuntime& e = state_.executor(exec);
-  fsm::transition(e.health, ExecutorHealth::Healthy, exec.value(),
-                  &metrics_.fsm.executor);
+  state_.set_health(exec, ExecutorHealth::Healthy, &metrics_.fsm.executor);
   master_.set_executor_suspect(exec, false);
   if (recovered) {
     ++metrics_.faults.false_suspicions;

@@ -377,16 +377,21 @@ TEST(GrayDegrade, DegradeSlowsExactlyTheTargetExecutor) {
 // --- blacklisting ------------------------------------------------------------
 
 TEST(GrayBlacklist, SchedulableGatesOnLivenessSuspicionAndProbation) {
-  ExecutorRuntime e;
+  const Workload w = make_example_dag();
+  const JobProfile profile = exact_profile(w.dag);
+  const Topology topo(gray_test_cluster().topology);
+  JobState state(w.dag, topo, profile);
+  const ExecutorId id(0);
+  ExecutorRuntime& e = state.executor(id);
   EXPECT_TRUE(e.schedulable(10 * kSec));
-  fsm::transition(e.health, ExecutorHealth::Suspect);
+  state.set_health(id, ExecutorHealth::Suspect);
   EXPECT_FALSE(e.schedulable(10 * kSec));
-  fsm::transition(e.health, ExecutorHealth::Healthy);
+  state.set_health(id, ExecutorHealth::Healthy);
   e.blacklisted_until = 20 * kSec;
   EXPECT_FALSE(e.schedulable(10 * kSec));
   EXPECT_TRUE(e.schedulable(20 * kSec));  // probation over
   e.blacklisted_until = SimTime{0};
-  fsm::transition(e.health, ExecutorHealth::Dead);
+  state.set_health(id, ExecutorHealth::Dead);
   EXPECT_FALSE(e.schedulable(10 * kSec));
 }
 

@@ -6,7 +6,10 @@
 
 #include <algorithm>
 #include <iterator>
+#include <memory>
 #include <optional>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "core/dagon.hpp"
@@ -468,6 +471,557 @@ TEST_P(PrefetchReference, ChoiceMatchesBruteForce) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PrefetchReference,
                          ::testing::Range<std::uint64_t>(70, 76));
+
+// --- delay policies: locality memo and refusal records ---------------------------
+
+/// A JobState and a BlockManagerMaster driven the way SimDriver drives
+/// them, plus a long-lived delay policy of each kind. check() asks every
+/// schedulable stage of both long-lived policies, whose locality memo and
+/// refusal records span the whole run, and of policies built afresh;
+/// both must return the same Assignment, or both nullopt.
+class PolicyHarness {
+ public:
+  PolicyHarness(const JobDag& dag, const TopologySpec& topo_spec,
+                const HdfsSpec& hdfs_spec, std::uint64_t seed,
+                const LocalityWaits& waits)
+      : dag_(&dag),
+        profile_(exact_profile(dag)),
+        topo_(topo_spec),
+        rng_(seed),
+        hdfs_(dag, topo_, hdfs_spec, rng_),
+        oracle_(dag),
+        cache_policy_(make_cache_policy(CachePolicyKind::Lru)),
+        master_(topo_, dag, hdfs_, oracle_, *cache_policy_),
+        state_(dag, topo_, profile_),
+        cost_(CostModelSpec{}),
+        waits_(waits),
+        native_(waits, cost_),
+        aware_(waits, cost_),
+        reserved_(topo_.num_executors()) {
+    master_.seed_initial_cache(now_);
+  }
+
+  Rng& rng() { return rng_; }
+  const Topology& topo() const { return topo_; }
+  const JobState& state() const { return state_; }
+  const BlockManagerMaster& master() const { return master_; }
+  SimTime now() const { return now_; }
+  std::int64_t launches_compared() const { return launches_; }
+  std::int64_t refusals_compared() const { return refusals_; }
+
+  void check(const char* step) {
+    for (const StageId s : state_.schedulable_stages()) {
+      compare(native_.find(state_, master_, s, now_),
+              NativeDelayPolicy(waits_, cost_).find(state_, master_, s, now_),
+              step, s, native_.name());
+      compare(aware_.find(state_, master_, s, now_),
+              SensitivityAwareDelayPolicy(waits_, cost_)
+                  .find(state_, master_, s, now_),
+              step, s, aware_.name());
+    }
+  }
+
+  void advance(SimTime by) { now_ += by; }
+
+  /// Launches `index` of `s` on `exec` the way SimDriver::launch_task
+  /// does: read the inputs (a disk read of a cacheable block admits it),
+  /// then charge the stage and the executor.
+  void launch(StageId s, std::int32_t index, ExecutorId exec) {
+    const Locality l = task_locality_on(*dag_, master_, topo_, s, index, exec);
+    for (const TaskInput& in : dag_->task_inputs(s, index)) {
+      if (!master_.exists(in.block)) continue;
+      master_.on_block_read(in.block, exec, master_.lookup(in.block, exec),
+                            now_);
+    }
+    state_.mark_launched(s, index, exec, now_);
+    native_.on_launch(state_, master_, s, l, now_);
+    oracle_.on_task_launched(s, index);
+    running_.push_back({s, index, exec, l, now_});
+  }
+
+  /// Launches what the long-lived Algorithm 2 policy picks for a random
+  /// schedulable stage, or a random pending task on a random executor
+  /// that fits it (as speculation and escalation may place a copy).
+  void launch_some() {
+    const auto stages = state_.schedulable_stages();
+    if (stages.empty()) return;
+    const StageId s = pick(stages);
+    if (rng_.bernoulli(0.5)) {
+      if (const auto a = aware_.find(state_, master_, s, now_)) {
+        launch(s, a->task_index, a->exec);
+      }
+      return;
+    }
+    const StageRuntime& rt = state_.stage(s);
+    auto skip = rng_.uniform_int(static_cast<std::int64_t>(rt.pending.size()));
+    std::int32_t index = -1;
+    for (const std::int32_t i : rt.pending) {
+      if (skip-- == 0) index = i;
+    }
+    if (const auto e = fitting_executor(dag_->stage(s).task_cpus)) {
+      launch(s, index, *e);
+    }
+  }
+
+  /// Finishes the running attempt of `index`, as
+  /// SimDriver::handle_task_finish; a stage's last finish promotes its
+  /// children.
+  void finish(StageId s, std::int32_t index) {
+    const Attempt a = take_attempt(s, index);
+    const bool stage_done =
+        state_.mark_finished(a.stage, a.index, a.exec, a.locality,
+                             a.launched, now_);
+    const Rdd& out = dag_->rdd(dag_->stage(a.stage).output);
+    if (out.bytes_per_partition > Bytes{0}) {
+      master_.on_block_produced(BlockId{out.id, a.index}, a.exec, now_);
+    }
+    if (stage_done) {
+      oracle_.mark_stage_finished(a.stage);
+      state_.refresh_ready(now_);
+    }
+  }
+  void finish_some() {
+    if (running_.empty()) return;
+    const Attempt a = pick(running_);
+    finish(a.stage, a.index);
+  }
+
+  /// Transient failure of the running attempt of `index`, as
+  /// SimDriver::fail_attempt: its cores return, and the index waits for
+  /// a retry.
+  void fail(StageId s, std::int32_t index) {
+    const Attempt a = take_attempt(s, index);
+    state_.add_free_cores(a.exec, dag_->stage(s).task_cpus);
+    --state_.stage(s).running;
+    state_.mark_failed(s, index);
+    failed_.push_back(a);
+  }
+  void fail_some() {
+    if (running_.empty()) return;
+    const Attempt a = pick(running_);
+    fail(a.stage, a.index);
+  }
+
+  /// A speculative copy changes `running` and takes cores, but not the
+  /// index's state; cancelling it gives both back.
+  void speculate() {
+    if (running_.empty()) return;
+    const StageId s = pick(running_).stage;
+    const Cpus demand = dag_->stage(s).task_cpus;
+    if (const auto e = fitting_executor(demand)) {
+      state_.add_free_cores(*e, -demand);
+      ++state_.stage(s).running;
+      copies_.push_back({s, -1, *e, Locality::Any, now_});
+    }
+  }
+  void cancel_copy() {
+    if (copies_.empty()) return;
+    release_copy(take(copies_));
+  }
+
+  /// Another tenant takes (at most `cores` of the free) cores, or
+  /// returns some.
+  void reserve(ExecutorId e, Cpus cores) {
+    const Cpus taken = std::min(state_.executor(e).free_cores(), cores);
+    state_.add_free_cores(e, -taken);
+    reserved_[static_cast<std::size_t>(e.value())] += taken;
+  }
+  void unreserve(ExecutorId e, Cpus cores) {
+    Cpus& held = reserved_[static_cast<std::size_t>(e.value())];
+    const Cpus give = std::min(held, cores);
+    state_.add_free_cores(e, give);
+    held -= give;
+  }
+
+  void drop_memory_block() {
+    const ExecutorId e = random_exec();
+    const auto& entries = master_.manager(e).entries();
+    if (entries.empty()) return;
+    const BlockId block = entries[static_cast<std::size_t>(rng_.uniform_int(
+        static_cast<std::int64_t>(entries.size())))].id;
+    (void)master_.drop_memory_block(block, e);
+  }
+
+  /// Gray failure, as SimDriver::enter_suspicion: suspect, then
+  /// re-replicate onto the first healthy executor.
+  void suspect(ExecutorId x) {
+    const ExecutorRuntime& e = state_.executor(x);
+    if (!e.alive() || e.suspect()) return;
+    set_health(x, ExecutorHealth::Suspect);
+    master_.set_executor_suspect(x, true);
+    for (const ExecutorRuntime& other : state_.executors()) {
+      if (other.alive() && !other.suspect()) {
+        (void)master_.rereplicate_suspect_blocks(other.id);
+        break;
+      }
+    }
+  }
+  void readmit(ExecutorId x) {
+    if (!state_.executor(x).suspect()) return;
+    set_health(x, ExecutorHealth::Healthy);
+    master_.set_executor_suspect(x, false);
+  }
+
+  void blacklist(ExecutorId x) {
+    ExecutorRuntime& e = state_.executor(x);
+    if (e.alive()) e.blacklisted_until = now_ + 2 * kSec;
+  }
+  void expire_blacklists() {
+    for (ExecutorRuntime& e : state_.executors()) {
+      if (e.blacklisted_until <= now_) e.blacklisted_until = SimTime{0};
+    }
+  }
+
+  /// Crash, as SimDriver::handle_executor_crash: fail its attempts (their
+  /// indices wait for a retry), drop its blocks, reopen the producers of
+  /// blocks whose last copy died. Keeps two executors alive.
+  void crash(ExecutorId x) {
+    if (!state_.executor(x).alive()) return;
+    std::int64_t alive = 0;
+    for (const ExecutorRuntime& e : state_.executors()) alive += e.alive();
+    if (alive <= 2) return;
+    readmit(x);
+    std::vector<Attempt> victims;
+    for (const Attempt& a : running_) {
+      if (a.exec == x) victims.push_back(a);
+    }
+    for (const Attempt& a : victims) fail(a.stage, a.index);
+    for (std::size_t i = 0; i < copies_.size();) {
+      if (copies_[i].exec != x) {
+        ++i;
+        continue;
+      }
+      release_copy(copies_[i]);
+      copies_.erase(copies_.begin() + static_cast<std::ptrdiff_t>(i));
+    }
+    set_health(x, ExecutorHealth::Dead);
+    state_.set_free_cores(x, Cpus{0});
+    reserved_[static_cast<std::size_t>(x.value())] = Cpus{0};
+    for (const BlockId& block : master_.drop_executor(x).lost) {
+      const auto producer = dag_->producer_of(block.rdd);
+      if (producer && state_.stage(*producer).status_of(block.partition) ==
+                          TaskStatus::Finished) {
+        state_.reopen_task(*producer, block.partition);
+      }
+    }
+    state_.demote_unready();
+  }
+
+  /// Re-queues a failed index, as SimDriver::handle_task_retry.
+  void retry() {
+    if (failed_.empty()) return;
+    const Attempt a = take(failed_);
+    state_.readd_pending(a.stage, a.index);
+    state_.demote_unready();
+  }
+
+  /// Lineage reopen of a finished task whose output exists nowhere (a
+  /// lost block, or an empty output never materialized), as
+  /// SimDriver::recover_block does once the block is lost.
+  void reopen(StageId s, std::int32_t index) {
+    state_.reopen_task(s, index);
+    state_.demote_unready();
+  }
+  void reopen_some() {
+    std::vector<std::pair<StageId, std::int32_t>> done;
+    for (const StageRuntime& rt : state_.stages()) {
+      if (!rt.ready) continue;
+      const RddId out = dag_->stage(rt.id).output;
+      for (std::int32_t i = 0; i < rt.num_tasks; ++i) {
+        if (rt.status_of(i) == TaskStatus::Finished &&
+            !master_.exists(BlockId{out, i})) {
+          done.emplace_back(rt.id, i);
+        }
+      }
+    }
+    if (done.empty()) return;
+    const auto [s, index] = pick(done);
+    reopen(s, index);
+  }
+
+  ExecutorId random_exec() {
+    return ExecutorId(static_cast<std::int32_t>(
+        rng_.uniform_int(static_cast<std::int64_t>(topo_.num_executors()))));
+  }
+
+ private:
+  struct Attempt {
+    StageId stage;
+    std::int32_t index = -1;
+    ExecutorId exec;
+    Locality locality = Locality::Any;
+    SimTime launched{};
+  };
+
+  void set_health(ExecutorId x, ExecutorHealth to) {
+    state_.set_health(x, to);
+  }
+
+  Attempt take_attempt(StageId s, std::int32_t index) {
+    const auto it = std::find_if(
+        running_.begin(), running_.end(),
+        [&](const Attempt& a) { return a.stage == s && a.index == index; });
+    if (it == running_.end()) throw std::logic_error("no such attempt");
+    const Attempt a = *it;
+    running_.erase(it);
+    return a;
+  }
+
+  void release_copy(const Attempt& copy) {
+    state_.add_free_cores(copy.exec, dag_->stage(copy.stage).task_cpus);
+    --state_.stage(copy.stage).running;
+  }
+
+  std::optional<ExecutorId> fitting_executor(Cpus demand) {
+    std::vector<ExecutorId> fits;
+    for (const ExecutorRuntime& e : state_.executors()) {
+      if (e.schedulable(now_) && e.free_cores() >= demand) fits.push_back(e.id);
+    }
+    if (fits.empty()) return std::nullopt;
+    return pick(fits);
+  }
+
+  template <typename T>
+  const T& pick(const std::vector<T>& v) {
+    return v[static_cast<std::size_t>(
+        rng_.uniform_int(static_cast<std::int64_t>(v.size())))];
+  }
+  template <typename T>
+  T take(std::vector<T>& v) {
+    const auto i = static_cast<std::size_t>(
+        rng_.uniform_int(static_cast<std::int64_t>(v.size())));
+    const T out = v[i];
+    v.erase(v.begin() + static_cast<std::ptrdiff_t>(i));
+    return out;
+  }
+
+  void compare(const std::optional<Assignment>& got,
+               const std::optional<Assignment>& want, const char* step,
+               StageId s, const char* policy) {
+    ASSERT_EQ(got.has_value(), want.has_value())
+        << policy << " stage " << s << " after " << step << " at "
+        << format_duration(now_);
+    if (!got) {
+      ++refusals_;
+      return;
+    }
+    ++launches_;
+    EXPECT_EQ(got->task_index, want->task_index) << policy << " " << step;
+    EXPECT_EQ(got->exec, want->exec) << policy << " " << step;
+    EXPECT_EQ(got->locality, want->locality) << policy << " " << step;
+  }
+
+  const JobDag* dag_;
+  JobProfile profile_;
+  Topology topo_;
+  Rng rng_;
+  HdfsPlacement hdfs_;
+  ReferenceOracle oracle_;
+  std::unique_ptr<CachePolicy> cache_policy_;
+  BlockManagerMaster master_;
+  JobState state_;
+  CostModel cost_;
+  LocalityWaits waits_;
+  NativeDelayPolicy native_;
+  SensitivityAwareDelayPolicy aware_;
+  std::vector<Cpus> reserved_;
+  std::vector<Attempt> running_;
+  std::vector<Attempt> copies_;
+  std::vector<Attempt> failed_;
+  SimTime now_{};
+  std::int64_t launches_ = 0;
+  std::int64_t refusals_ = 0;
+};
+
+class PolicyDifferential : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(PolicyDifferential, LongLivedPoliciesMatchFreshOnes) {
+  Rng dag_rng(GetParam());
+  RandomDagParams p;
+  p.max_stages = 10;
+  p.max_tasks = 16;
+  p.max_cpus = Cpus{2};
+  p.shuffle_prob = 0.3;
+  const Workload w = make_random_dag(dag_rng, p);
+  Bytes largest{};
+  for (const Rdd& rdd : w.dag.rdds()) {
+    largest = std::max(largest, rdd.bytes_per_partition);
+  }
+  TopologySpec spec;
+  spec.racks = 2;
+  spec.nodes_per_rack = 2;
+  spec.executors_per_node = 2;
+  spec.cores_per_executor = Cpus{2};
+  // Room for about three of the largest blocks: admissions evict.
+  spec.cache_bytes_per_executor = 3 * largest;
+  // Inputs on a few hot nodes: executors elsewhere wait on the ladder.
+  HdfsSpec hdfs_spec;
+  hdfs_spec.replication = 1;
+  hdfs_spec.skew = 0.8;
+  hdfs_spec.hot_nodes = 2;
+  PolicyHarness h(w.dag, spec, hdfs_spec, GetParam(),
+                  LocalityWaits::uniform(2 * kSec));
+  Rng& rng = h.rng();
+  h.check("start");
+  for (int step = 0; step < 1500 && !h.state().all_finished(); ++step) {
+    // Most steps keep the instant: records are only ever reused within
+    // one.
+    if (rng.bernoulli(0.15)) {
+      h.advance(rng.uniform_range(0, 6) * 250 * kMsec);
+      h.expire_blacklists();
+      h.check("advance");
+    }
+    const std::int64_t op = rng.uniform_int(100);
+    const char* step_name = "";
+    if (op < 30) {
+      h.launch_some();
+      step_name = "launch";
+    } else if (op < 50) {
+      h.finish_some();
+      step_name = "finish";
+    } else if (op < 55) {
+      h.fail_some();
+      step_name = "transient failure";
+    } else if (op < 60) {
+      h.speculate();
+      step_name = "speculate";
+    } else if (op < 65) {
+      h.cancel_copy();
+      step_name = "cancel speculative copy";
+    } else if (op < 70) {
+      h.reserve(h.random_exec(), Cpus{2});
+      step_name = "free cores fall";
+    } else if (op < 75) {
+      h.unreserve(h.random_exec(), Cpus{2});
+      step_name = "free cores rise";
+    } else if (op < 79) {
+      h.drop_memory_block();
+      step_name = "drop_memory_block";
+    } else if (op < 84) {
+      h.suspect(h.random_exec());
+      step_name = "suspect";
+    } else if (op < 89) {
+      for (const ExecutorRuntime& e : h.state().executors()) {
+        h.readmit(e.id);
+      }
+      step_name = "readmit";
+    } else if (op < 91) {
+      h.blacklist(h.random_exec());
+      step_name = "blacklist";
+    } else if (op < 93) {
+      h.crash(h.random_exec());
+      step_name = "crash";
+    } else if (op < 97) {
+      h.retry();
+      step_name = "readd_pending";
+    } else {
+      h.reopen_some();
+      step_name = "reopen_task";
+    }
+    h.check(step_name);
+    if (HasFatalFailure()) return;
+  }
+  // Some shapes never refuse (a shuffle-only DAG has no preferences);
+  // the suite as a whole compares thousands of refusals.
+  EXPECT_GT(h.launches_compared(), 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PolicyDifferential,
+                         ::testing::Range<std::uint64_t>(300, 324));
+
+/// Fixed shapes, each reached at one instant: one narrow stage over
+/// four single-replica HDFS blocks, on two single-executor nodes in two
+/// racks. Two blocks sit on `near_`'s node; `far_` lends its cores away,
+/// so once `near_` holds only Any-level tasks (the ladder allows Node)
+/// the stage is refused, and one more change makes it launchable.
+class PolicyDifferentialCase : public ::testing::Test {
+ protected:
+  PolicyDifferentialCase()
+      : dag_(scan_dag()),
+        h_(dag_, topology(), HdfsSpec{.replication = 1}, 7,
+           LocalityWaits::uniform(3 * kSec)) {
+    for (std::int32_t i = 0; i < 4; ++i) {
+      if (h_.master().hdfs_replicas(BlockId{RddId(0), i}).at(0) ==
+          h_.topo().node_of(near_)) {
+        local_.push_back(i);
+      }
+    }
+    h_.reserve(far_, Cpus{4});
+  }
+
+  static JobDag scan_dag() {
+    JobDagBuilder b("scan");
+    const RddId in = b.input_rdd("in", 4, kMiB);
+    b.add_stage({.name = "scan",
+                 .inputs = {{in, DepKind::Narrow}},
+                 .num_tasks = 4,
+                 .task_cpus = Cpus{1},
+                 .task_duration = kSec,
+                 .output_bytes_per_partition = Bytes{0}});
+    return b.build();
+  }
+  static TopologySpec topology() {
+    TopologySpec spec;
+    spec.racks = 2;
+    spec.nodes_per_rack = 1;
+    spec.executors_per_node = 1;
+    spec.cores_per_executor = Cpus{4};
+    return spec;
+  }
+
+  /// check(step) must compare a refusal, then `change` and check(after)
+  /// a launch.
+  template <typename Change>
+  void refused_then_launchable(const char* step, Change change,
+                               const char* after) {
+    const std::int64_t refusals = h_.refusals_compared();
+    h_.check(step);
+    ASSERT_GT(h_.refusals_compared(), refusals) << step;
+    change();
+    const std::int64_t launches = h_.launches_compared();
+    h_.check(after);
+    EXPECT_GT(h_.launches_compared(), launches) << after;
+  }
+
+  const StageId scan_{0};
+  const ExecutorId near_{0};
+  const ExecutorId far_{1};
+  JobDag dag_;
+  PolicyHarness h_;
+  std::vector<std::int32_t> local_;
+};
+
+// A suspect whose memory store is empty is re-admitted at the instant
+// the stage was refused: the journal gains nothing, yet the executor can
+// now take its node-local tasks.
+TEST_F(PolicyDifferentialCase, ReadmittedSuspectWithEmptyStore) {
+  h_.suspect(near_);
+  ASSERT_TRUE(h_.state().executor(near_).suspect());
+  ASSERT_EQ(h_.master().manager(near_).num_blocks(), 0);
+  refused_then_launchable("suspect", [&] { h_.readmit(near_); }, "readmit");
+}
+
+// A failed task re-queued at the instant the stage was refused: only the
+// stage's pending set changed.
+TEST_F(PolicyDifferentialCase, RequeuedTaskIsAskedAgain) {
+  ASSERT_EQ(local_.size(), 2u);
+  h_.launch(scan_, local_[0], near_);
+  h_.launch(scan_, local_[1], near_);
+  h_.fail(scan_, local_[0]);
+  refused_then_launchable("transient failure", [&] { h_.retry(); },
+                          "readd_pending");
+}
+
+// A finished task reopened by lineage recovery at the instant the stage
+// was refused: only the stage's pending set changed.
+TEST_F(PolicyDifferentialCase, ReopenedTaskIsAskedAgain) {
+  ASSERT_EQ(local_.size(), 2u);
+  h_.launch(scan_, local_[0], near_);
+  h_.finish(scan_, local_[0]);
+  h_.launch(scan_, local_[1], near_);
+  refused_then_launchable(
+      "finish", [&] { h_.reopen(scan_, local_[0]); }, "reopen_task");
+}
 
 // --- block-level reference consumption ------------------------------------------
 

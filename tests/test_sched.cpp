@@ -242,8 +242,8 @@ TEST(LocalityCache, MatchesRecomputeAcrossPlacementHooks) {
 
   // The memo must give what a recompute gives, for every pending (task,
   // executor) pair and every stage's ladder. Each check also refills the
-  // memo, so a hook that moves placement without bumping
-  // placement_version() leaves a stale answer for the next check.
+  // memo, so a hook that moves placement without journaling the block
+  // leaves a stale answer for the next check.
   const auto expect_memo_matches = [&](const char* step) {
     SCOPED_TRACE(step);
     for (const Stage& s : dag.stages()) {
@@ -299,6 +299,63 @@ TEST(LocalityCache, MatchesRecomputeAcrossPlacementHooks) {
   // target holds one disk copy and no memory copy.
   EXPECT_EQ(master.drop_executor(target).disk_dropped, 1);
   expect_memo_matches("drop_executor");
+}
+
+TEST(LocalityCache, ResetsEverythingWhenTheJournalDroppedUnreadEntries) {
+  // in (HDFS) -narrow-> scan. The memo learns scan's answers, then misses
+  // more than a full journal of churn that ends with in0 cached on an
+  // executor it was not cached on before.
+  JobDagBuilder b("churn");
+  const RddId in = b.input_rdd("in", 2, kMiB);
+  const StageId scan = b.add_stage({.name = "scan",
+                                    .inputs = {{in, DepKind::Narrow}},
+                                    .num_tasks = 2,
+                                    .task_cpus = Cpus{1},
+                                    .task_duration = kSec,
+                                    .output_bytes_per_partition = Bytes{0}});
+  const JobDag dag = b.build();
+  const JobProfile profile = exact_profile(dag);
+  TopologySpec spec;
+  spec.racks = 2;
+  spec.nodes_per_rack = 2;
+  spec.cache_bytes_per_executor = 16 * kMiB;
+  const Topology topo(spec);
+  Rng rng(3);
+  HdfsSpec hdfs_spec;
+  hdfs_spec.replication = 1;
+  const HdfsPlacement hdfs(dag, topo, hdfs_spec, rng);
+  ReferenceOracle oracle(dag);
+  const auto policy = make_cache_policy(CachePolicyKind::Lru);
+  BlockManagerMaster master(topo, dag, hdfs, oracle, *policy);
+  const JobState state(dag, topo, profile);
+  LocalityCache cache;
+  const auto expect_memo_matches = [&] {
+    for (const std::int32_t index : state.stage(scan).pending) {
+      for (const Executor& e : topo.executors()) {
+        EXPECT_EQ(cache.locality(dag, master, topo, scan, index, e.id),
+                  task_locality_on(dag, master, topo, scan, index, e.id))
+            << "task " << index << " exec " << e.id;
+      }
+    }
+    EXPECT_EQ(cache.levels(dag, master, topo, state.stage(scan)),
+              valid_locality_levels(dag, master, topo, state.stage(scan)));
+  };
+  expect_memo_matches();
+
+  const BlockId in0{in, 0};
+  const ExecutorId reader(0);
+  const auto entries = static_cast<std::int64_t>(
+      BlockManagerMaster::kJournalCap);
+  while (master.journal_end() < 2 * entries) {
+    master.on_block_read(in0, reader, master.lookup(in0, reader), kSec);
+    ASSERT_TRUE(master.drop_memory_block(in0, reader));
+  }
+  master.on_block_read(in0, reader, master.lookup(in0, reader), kSec);
+  ASSERT_EQ(master.memory_holders(in0), std::vector<ExecutorId>{reader});
+  EXPECT_GT(master.journal_begin(), 0u);
+  EXPECT_LE(master.journal_end() - master.journal_begin(),
+            BlockManagerMaster::kJournalCap);
+  expect_memo_matches();
 }
 
 // --- estimator ---------------------------------------------------------------
