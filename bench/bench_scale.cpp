@@ -197,9 +197,9 @@ int main(int argc, char** argv) {
   bench::parse_args(argc, argv);
   bench::experiment_header(
       "SCALE — event-core throughput vs cluster and task-count size",
-      "the bucketed event queue, SoA task state, and free-slot executor "
-      "index keep per-decision cost sublinear in cluster size, so the "
-      "simulator sustains 10k executors / 1M tasks in one process");
+      "a binary-heap event queue, SoA task state, and the free-slot "
+      "executor index keep per-decision cost sublinear in cluster size, so "
+      "the simulator sustains 10k executors / 1M tasks in one process");
 
   // Executors = racks x nodes_per_rack x 4.
   std::vector<ScalePoint> points = {

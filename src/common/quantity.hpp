@@ -22,11 +22,16 @@
 // __builtin_*_overflow and throw dagon::InvariantError naming the unit
 // and operator; release builds compile to the exact raw-Rep arithmetic
 // used before this layer existed, so fingerprints stay bit-identical.
+// The double -> quantity converters check their range in every build
+// (checked_trunc below): an out-of-range cast is undefined behaviour,
+// and in practice it yields INT64_MIN, a negative time.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <ostream>
+#include <sstream>
 #include <type_traits>
 
 #include "common/error.hpp"
@@ -76,6 +81,26 @@ constexpr Rep checked_mul(Rep a, Rep b, const char* unit) {
   } else {
     return static_cast<Rep>(a * b);
   }
+}
+
+[[noreturn]] inline void conversion_trap(const char* unit, double v) {
+  std::ostringstream os;
+  os << "quantity conversion out of range: " << unit << " from " << v;
+  throw InvariantError(os.str());
+}
+
+/// Truncates `v` toward zero into `Rep`, exactly as static_cast does,
+/// but throws InvariantError where that cast is undefined: on NaN, and
+/// on a value whose integer part does not fit in `Rep`.
+template <typename Rep>
+constexpr Rep checked_trunc(double v, const char* unit) {
+  // The cast is defined iff min - 1 < v < max + 1. Both min and
+  // max + 1 == -min are powers of two, exact in a double. min - 1 is
+  // exact for a 32-bit Rep; for a 64-bit Rep it rounds to min itself, so
+  // `v == kMin` admits the one valid value that `v > kMin - 1.0` misses.
+  constexpr double kMin = static_cast<double>(std::numeric_limits<Rep>::min());
+  if (!(v < -kMin && (v > kMin - 1.0 || v == kMin))) conversion_trap(unit, v);
+  return static_cast<Rep>(v);
 }
 
 }  // namespace qdetail
@@ -204,7 +229,7 @@ class Quantity {
   Rep v_{};
 };
 
-// Dimension tags. name() feeds the debug overflow trap's message.
+// Dimension tags. name() feeds the overflow and conversion traps' messages.
 struct TimeTag {
   static constexpr const char* name() { return "SimTime"; }
 };

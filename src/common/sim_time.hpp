@@ -31,14 +31,16 @@ inline constexpr SimTime kTimeInfinity{INT64_MAX};
 // Sanctioned floating-point converters. These are the only places where a
 // double becomes a SimTime — dagonlint's narrowing-cast rule bans
 // float→int static_casts outside common/, so rounding decisions stay
-// centralized and auditable.
+// centralized and auditable. Each throws InvariantError on NaN or on a
+// result outside SimTime's range (qdetail::checked_trunc).
 
 /// Converts fractional seconds to SimTime, rounding half away from zero
 /// (symmetric for negative durations; the old `+ 0.5` form rounded
 /// negatives toward +∞).
 [[nodiscard]] constexpr SimTime from_seconds(double s) {
   const double us = s * static_cast<double>(kSec.count());
-  return SimTime{static_cast<std::int64_t>(us < 0.0 ? us - 0.5 : us + 0.5)};
+  return SimTime{qdetail::checked_trunc<SimTime::rep>(
+      us < 0.0 ? us - 0.5 : us + 0.5, TimeTag::name())};
 }
 
 /// Converts a microsecond count held in a double to SimTime, truncating
@@ -46,7 +48,7 @@ inline constexpr SimTime kTimeInfinity{INT64_MAX};
 /// sites this converter replaced (bit-identical fingerprints depend on
 /// it; do not "fix" the rounding).
 [[nodiscard]] constexpr SimTime time_from_usec(double us) {
-  return SimTime{static_cast<std::int64_t>(us)};
+  return SimTime{qdetail::checked_trunc<SimTime::rep>(us, TimeTag::name())};
 }
 
 /// Scales a duration by a dimensionless factor (degrade slowdowns, speed

@@ -86,7 +86,6 @@ class StepFunction {
   void add(SimTime t, double delta) { set(t, value_ + delta); }
 
   [[nodiscard]] double value() const { return value_; }
-  [[nodiscard]] SimTime last_time() const { return points_.back().time; }
 
   /// Time-weighted mean over [from, to).
   [[nodiscard]] double average(SimTime from, SimTime to) const;

@@ -53,17 +53,18 @@ using CpuWork = Quantity<std::int64_t, CpuWorkTag>;
   return w.count() / t.count();
 }
 
-/// Truncating double→Bytes converter (sanctioned narrowing; see the
-/// narrowing-cast dagonlint rule).
 /// Sanctioned double -> Cpus conversion (truncation toward zero, the
 /// exact semantics of the static_cast<Cpus> sites it replaced). Callers
-/// wanting round-to-nearest add 0.5 before the call.
+/// wanting round-to-nearest add 0.5 before the call. Throws
+/// InvariantError on NaN or out of range (qdetail::checked_trunc).
 [[nodiscard]] constexpr Cpus cpus_from_double(double c) {
-  return Cpus{static_cast<std::int32_t>(c)};
+  return Cpus{qdetail::checked_trunc<Cpus::rep>(c, CpuTag::name())};
 }
 
+/// Truncating double -> Bytes converter (sanctioned narrowing; see the
+/// narrowing-cast dagonlint rule), range-checked like cpus_from_double.
 [[nodiscard]] constexpr Bytes bytes_from_double(double b) {
-  return Bytes{static_cast<std::int64_t>(b)};
+  return Bytes{qdetail::checked_trunc<Bytes::rep>(b, BytesTag::name())};
 }
 
 }  // namespace dagon

@@ -21,8 +21,4 @@ struct RddRef {
   DepKind kind = DepKind::Narrow;
 };
 
-[[nodiscard]] constexpr const char* dep_kind_name(DepKind k) {
-  return k == DepKind::Narrow ? "narrow" : "shuffle";
-}
-
 }  // namespace dagon

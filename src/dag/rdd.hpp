@@ -25,10 +25,6 @@ struct Rdd {
   /// (the black blocks of the paper's Fig. 1). Only meaningful for
   /// input RDDs.
   std::int32_t initially_cached_partitions = 0;
-
-  [[nodiscard]] Bytes total_bytes() const {
-    return bytes_per_partition * num_partitions;
-  }
 };
 
 }  // namespace dagon

@@ -117,8 +117,8 @@ SimDriver::SimDriver(const JobDag& dag, const JobProfile& profile,
   attempts_.reserve(static_cast<std::size_t>(total_tasks));
   retry_counts_.assign(static_cast<std::size_t>(total_tasks), 0);
   prefetch_inflight_.assign(static_cast<std::size_t>(dag.num_blocks()), 0);
-  // Pre-size the event queue's overflow heap from the task count: only
-  // far-future events land there, so a modest clamp suffices.
+  // Pre-size the event queue from the task count; the heap still grows
+  // past the clamp if a run ever holds more events at once.
   queue_.reserve(static_cast<std::size_t>(
       std::min<std::int64_t>(total_tasks + 64, 1 << 16)));
   metrics_.total_cores = topo_.total_cores();
@@ -159,8 +159,8 @@ void SimDriver::validate() const {
         std::isfinite(config_.duration_noise))) {
     throw ConfigError("duration_noise must be finite and non-negative");
   }
-  if (!(config_.ect_slack > 0.0)) {
-    throw ConfigError("ect_slack must be positive");
+  if (!(config_.ect_slack > 0.0 && std::isfinite(config_.ect_slack))) {
+    throw ConfigError("ect_slack must be finite and positive");
   }
   if (!(config_.speculation.quantile >= 0.0 &&
         config_.speculation.quantile <= 1.0)) {

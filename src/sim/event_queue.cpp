@@ -1,104 +1,23 @@
 #include "sim/event_queue.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <functional>
 
 #include "common/error.hpp"
 
 namespace dagon {
 
-void EventQueue::init_calendar(SimTime t) {
-  buckets_.resize(kNumBuckets);
-  occupied_.assign(kNumBuckets / 64, 0);
-  base_ = window_start(t);
-  cur_ = bucket_of(t);
-}
-
-void EventQueue::bucket_push(const Entry& entry) {
-  const std::size_t b = bucket_of(entry.event.time);
-  auto& heap = buckets_[b];
-  heap.push_back(entry);
-  std::push_heap(heap.begin(), heap.end(), std::greater<>{});
-  occupied_[b >> 6] |= std::uint64_t{1} << (b & 63);
-  ++bucketed_;
-}
-
 void EventQueue::push(const Event& e) {
   DAGON_CHECK_MSG(e.time >= SimTime{0}, "event scheduled at negative time");
-  const Entry entry{e, next_seq_++};
-  ++size_;
-  if (buckets_.empty()) init_calendar(e.time);
-  // In-horizon events are bucketed; everything else — far future, or a
-  // straggler below the current window after a far-forward rebase —
-  // falls back to the overflow heap. Pop order stays exact either way.
-  if (e.time >= base_ && e.time - base_ < kHorizon) {
-    bucket_push(entry);
-  } else {
-    overflow_.push_back(entry);
-    std::push_heap(overflow_.begin(), overflow_.end(), std::greater<>{});
-  }
-}
-
-std::size_t EventQueue::first_occupied() const {
-  // Scan the occupancy bitmap circularly from cur_, one 64-bucket word
-  // at a time. bucketed_ > 0 guarantees termination within one lap.
-  std::size_t word = cur_ >> 6;
-  std::uint64_t bits = occupied_[word] & (~std::uint64_t{0} << (cur_ & 63));
-  while (bits == 0) {
-    word = (word + 1) & (occupied_.size() - 1);
-    bits = occupied_[word];
-  }
-  return (word << 6) | static_cast<std::size_t>(std::countr_zero(bits));
-}
-
-void EventQueue::rebase(SimTime t) {
-  base_ = window_start(t);
-  cur_ = bucket_of(t);
-  // Promote overflow entries that now fall inside the horizon. They are
-  // the heap's smallest, so draining from the top visits exactly them.
-  while (!overflow_.empty() &&
-         overflow_.front().event.time - base_ < kHorizon) {
-    std::pop_heap(overflow_.begin(), overflow_.end(), std::greater<>{});
-    const Entry entry = overflow_.back();
-    overflow_.pop_back();
-    bucket_push(entry);
-  }
+  heap_.push_back(Entry{e, next_seq_++});
+  std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
 }
 
 bool EventQueue::pop_into(Event& out) {
-  if (size_ == 0) return false;
-  std::size_t b = 0;
-  const Entry* bucket_min = nullptr;
-  if (bucketed_ > 0) {
-    b = first_occupied();
-    bucket_min = &buckets_[b].front();
-  }
-  const bool from_overflow =
-      bucket_min == nullptr ||
-      (!overflow_.empty() && *bucket_min > overflow_.front());
-  if (from_overflow) {
-    std::pop_heap(overflow_.begin(), overflow_.end(), std::greater<>{});
-    const Entry entry = overflow_.back();
-    overflow_.pop_back();
-    out = entry.event;
-    --size_;
-    // The calendar is empty and time jumped forward: re-anchor it at the
-    // popped time so subsequent pushes land in buckets again.
-    if (bucketed_ == 0 && !buckets_.empty()) rebase(entry.event.time);
-    return true;
-  }
-  // Advance the current window to bucket b (k forward steps, circular).
-  const std::size_t steps = (b - cur_) & (kNumBuckets - 1);
-  base_ += static_cast<std::int64_t>(steps) * kWidth;
-  cur_ = b;
-  auto& heap = buckets_[b];
-  std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
-  out = heap.back().event;
-  heap.pop_back();
-  if (heap.empty()) occupied_[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
-  --bucketed_;
-  --size_;
+  if (heap_.empty()) return false;
+  std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
+  out = heap_.back().event;
+  heap_.pop_back();
   return true;
 }
 
@@ -109,13 +28,7 @@ std::optional<Event> EventQueue::pop() {
 }
 
 SimTime EventQueue::next_time() const {
-  if (size_ == 0) return kTimeInfinity;
-  SimTime best = kTimeInfinity;
-  if (bucketed_ > 0) best = buckets_[first_occupied()].front().event.time;
-  if (!overflow_.empty()) {
-    best = std::min(best, overflow_.front().event.time);
-  }
-  return best;
+  return heap_.empty() ? kTimeInfinity : heap_.front().event.time;
 }
 
 }  // namespace dagon

@@ -2,15 +2,9 @@
 // (time, insertion sequence). Two runs that push the same events pop
 // them identically — the foundation of the simulator's reproducibility.
 //
-// Implementation: a calendar (bucketed) queue. Near-future events land
-// in one of 1024 fixed-width time buckets (32.768 ms each, so shifts
-// replace divisions), each a small binary min-heap on (time, seq); the
-// occupancy bitmap lets pop() skip runs of empty buckets 64 at a time.
-// Events beyond the ~33.5 s horizon — and stragglers below the current
-// window after a far-forward jump — go to an overflow min-heap, the
-// heap fallback for sparse tails. pop() compares the first occupied
-// bucket's top against the overflow top, so the (time, seq) order is
-// exact by construction, independent of bucket geometry.
+// Implementation: one binary min-heap on (time, seq). The paper testbed
+// holds at most a few hundred events at once, and there the heap costs
+// under 3% of a run (DESIGN.md §11).
 #pragma once
 
 #include <cstdint>
@@ -77,13 +71,11 @@ class EventQueue {
   /// into `out` and returns true, or returns false when empty.
   bool pop_into(Event& out);
 
-  /// Pre-sizes the overflow heap (the only container that grows with
-  /// far-future backlog); bucket storage is allocated lazily on first
-  /// push and reused for the rest of the run.
-  void reserve(std::size_t n) { overflow_.reserve(n); }
+  /// Pre-sizes the heap's storage for `n` pending events.
+  void reserve(std::size_t n) { heap_.reserve(n); }
 
-  [[nodiscard]] bool empty() const { return size_ == 0; }
-  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] bool empty() const { return heap_.empty(); }
+  [[nodiscard]] std::size_t size() const { return heap_.size(); }
 
   /// Time of the earliest event (kTimeInfinity when empty).
   [[nodiscard]] SimTime next_time() const;
@@ -98,36 +90,7 @@ class EventQueue {
     }
   };
 
-  static constexpr int kWidthBits = 15;   // 32.768 ms per bucket
-  static constexpr int kBucketBits = 10;  // 1024 buckets
-  static constexpr SimTime kWidth{std::int64_t{1} << kWidthBits};
-  static constexpr std::size_t kNumBuckets = std::size_t{1} << kBucketBits;
-  static constexpr SimTime kHorizon{kWidth.count() *
-                                    static_cast<std::int64_t>(kNumBuckets)};
-
-  [[nodiscard]] static std::size_t bucket_of(SimTime t) {
-    return static_cast<std::size_t>(t.count() >> kWidthBits) &
-           (kNumBuckets - 1);
-  }
-  [[nodiscard]] static SimTime window_start(SimTime t) {
-    return SimTime{(t.count() >> kWidthBits) << kWidthBits};
-  }
-
-  void init_calendar(SimTime t);
-  void bucket_push(const Entry& entry);
-  /// Re-anchors the (empty) calendar at `t` and promotes overflow
-  /// entries that now fall inside the horizon into their buckets.
-  void rebase(SimTime t);
-  /// First occupied bucket at/after cur_ (circular). Pre: bucketed_ > 0.
-  [[nodiscard]] std::size_t first_occupied() const;
-
-  std::vector<std::vector<Entry>> buckets_;  // per-bucket min-heaps
-  std::vector<std::uint64_t> occupied_;      // bitmap over buckets_
-  std::vector<Entry> overflow_;              // min-heap (heap fallback)
-  SimTime base_{};     // window start of bucket cur_
-  std::size_t cur_ = 0;  // bucket holding the current time window
-  std::size_t bucketed_ = 0;
-  std::size_t size_ = 0;
+  std::vector<Entry> heap_;  // min-heap under std::greater<>
   std::uint64_t next_seq_ = 0;
 };
 

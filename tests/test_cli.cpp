@@ -1,6 +1,7 @@
 // Drives the dagonsim binary end-to-end: flag hardening (unknown /
 // duplicate / malformed values exit 2 on the ConfigError path), valid
-// runs exit 0, and --fingerprint is stable across identical invocations.
+// runs exit 0, failed simulations exit 1, and --fingerprint is stable
+// across identical invocations.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -8,6 +9,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace {
@@ -133,6 +135,29 @@ TEST(Cli, InvalidArrivalHitsConfigErrorPath) {
                               " --serve-jobs 2 --arrival poisson:0");
   EXPECT_EQ(r.exit_code, 2) << r.output;
   EXPECT_NE(r.output.find("invalid config"), std::string::npos);
+}
+
+TEST(Cli, FailedSimulationExitsOne) {
+  // Valid configs whose runs throw InvariantError: a run that cannot
+  // finish inside max_sim_time, and three whose scaled durations leave
+  // SimTime's range (the converters throw instead of wrapping negative).
+  // Each must end in its reason and exit 1, not abort.
+  const std::vector<std::pair<const char*, const char*>> runs = {
+      {"--noise 1e6", "exceeded max_sim_time"},
+      {"--noise 1e13", "conversion out of range"},
+      {"--exec-tiers slow:0.5:1e15", "conversion out of range"},
+      {"--heavy-tail-prob 1 --heavy-tail-mult 1e15",
+       "conversion out of range"},
+  };
+  for (const auto& [knobs, reason] : runs) {
+    const CliResult r =
+        run_cli(std::string("--workload KMeans --scale 0.1 ") + knobs);
+    EXPECT_EQ(r.exit_code, 1) << knobs << "\n" << r.output;
+    EXPECT_NE(r.output.find("simulation failed: "), std::string::npos)
+        << knobs << "\n" << r.output;
+    EXPECT_NE(r.output.find(reason), std::string::npos)
+        << knobs << "\n" << r.output;
+  }
 }
 
 TEST(Cli, FingerprintIsPrintedAndStable) {

@@ -1,6 +1,8 @@
-// Property tests: the calendar (bucketed) EventQueue must pop the exact
-// (time, seq) sequence a plain binary heap would — the total order the
-// whole simulator's determinism rests on (DESIGN.md §11).
+// Property tests: EventQueue must pop the exact (time, seq) sequence an
+// independent std::priority_queue pops — the total order the whole
+// simulator's determinism rests on (DESIGN.md §11). The schedules below
+// (uniform storms, dense ties, monotone interleaving, far jumps and
+// exact power-of-two offsets) are adversarial for any queue layout.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -13,7 +15,8 @@
 namespace dagon {
 namespace {
 
-/// Reference model: the pre-overhaul binary heap on (time, seq).
+/// Reference model: std::priority_queue on (time, seq), written
+/// independently of EventQueue's own heap code.
 class ReferenceQueue {
  public:
   void push(const Event& e) { heap_.push(Entry{e, next_seq_++}); }
@@ -101,8 +104,7 @@ TEST(EventQueueProperty, MatchesBinaryHeapOnClusteredTies) {
 }
 
 // Interleaved push/pop with a monotone clock, as the sim driver does:
-// every pop defines `now`, and pushes are now + bounded delay. Exercises
-// in-window bucketing, circular wrap, and bucket advance.
+// every pop defines `now`, and pushes are now + bounded delay.
 TEST(EventQueueProperty, MatchesBinaryHeapOnMonotoneInterleaving) {
   std::mt19937_64 rng(777);
   std::uniform_int_distribution<std::int64_t> delay(0, (90 * kSec).count());
@@ -136,9 +138,9 @@ TEST(EventQueueProperty, MatchesBinaryHeapOnMonotoneInterleaving) {
   }
 }
 
-// Far-future jumps force overflow-heap traffic, rebase, and promotion
-// back into buckets; stragglers below the re-anchored window must still
-// come out in order (they ride the overflow heap).
+// Far-future pushes (hours out) mixed with near-`now` ones, so the clock
+// jumps far forward and later pushes land far below queued events; the
+// pop order must still match.
 TEST(EventQueueProperty, MatchesBinaryHeapAcrossHorizonJumps) {
   std::mt19937_64 rng(1234);
   std::uniform_int_distribution<std::int64_t> near(0, (10 * kSec).count());
@@ -176,15 +178,14 @@ TEST(EventQueueProperty, MatchesBinaryHeapAcrossHorizonJumps) {
 }
 
 // Adversarial boundary sweep: every push lands at the pop clock plus an
-// EXACT multiple of the bucket width or the horizon (or its ±1
-// neighbor). Pops then walk the clock onto those edges, so rebase
-// re-anchors precisely on bucket/horizon boundaries while the overflow
-// heap still holds entries at the rim of the new window — the promotion
-// split (bucket vs. stay-in-overflow) sits on the == case of every
-// comparison, and must match the reference heap pop-for-pop.
+// exact multiple of a power-of-two width or horizon (or its ±1
+// neighbor). Pops then walk the clock onto those edges, so many events
+// tie exactly on time across far jumps, and seq alone must order them
+// as the reference heap does, pop for pop.
 TEST(EventQueueProperty, MatchesBinaryHeapOnExactBoundaryJumps) {
-  // Mirror of EventQueue's private geometry (event_queue.hpp): 2^15 µs
-  // buckets x 1024 buckets = 2^25 µs horizon. Keep in sync.
+  // A power-of-two grid: 2^15 µs widths x 1024 = a 2^25 µs horizon.
+  // Offsets on and ±1 around its multiples make a schedule rich in
+  // exact time ties.
   constexpr SimTime kWidth{std::int64_t{1} << 15};
   constexpr SimTime kHorizon{std::int64_t{1} << 25};
   constexpr SimTime kTick{1};
@@ -218,8 +219,8 @@ TEST(EventQueueProperty, MatchesBinaryHeapOnExactBoundaryJumps) {
     q.push(seed);
     ref.push(seed);
     for (int step = 0; step < 600; ++step) {
-      // Calendar pushes (offset < horizon) and overflow pushes
-      // (offset >= horizon) interleave freely within one burst.
+      // Near pushes (offset < horizon) and far pushes (offset >= horizon)
+      // interleave freely within one burst.
       const int n = burst(rng);
       for (int i = 0; i < n; ++i) {
         const Event e = make_event(now + offsets[pick_off(rng)], tag++);
@@ -241,11 +242,10 @@ TEST(EventQueueProperty, MatchesBinaryHeapOnExactBoundaryJumps) {
   }
 }
 
-// Deterministic rim check: one far-forward pop sequence that re-anchors
-// the calendar exactly at a horizon multiple, with overflow entries
-// sitting at h-1 / h / h+1 around every multiple, plus a straggler
-// pushed BELOW the re-anchored window afterwards (it must ride the
-// overflow heap back out in (time, seq) order).
+// Deterministic rim check: one far-forward pop sequence that stops
+// exactly at a horizon multiple, with entries queued at h-1 / h / h+1
+// around every multiple, plus a straggler pushed BELOW the clock
+// afterwards (it must still come out in (time, seq) order).
 TEST(EventQueueProperty, PromotionSplitsExactHorizonRim) {
   constexpr SimTime kWidth{std::int64_t{1} << 15};
   constexpr SimTime kHorizon{std::int64_t{1} << 25};
@@ -260,14 +260,13 @@ TEST(EventQueueProperty, PromotionSplitsExactHorizonRim) {
   };
   push(SimTime{0});
   for (std::int64_t k = 1; k <= 4; ++k) {
-    push(k * kHorizon - kTick);  // last bucket of the k-1 window
-    push(k * kHorizon);          // exactly on the anchor candidate
+    push(k * kHorizon - kTick);
+    push(k * kHorizon);  // exactly on the horizon multiple
     push(k * kHorizon + kTick);
-    push(k * kHorizon + (kWidth - kTick));  // last slot of the first bucket
-    push(k * kHorizon + kWidth);            // first slot of the second
+    push(k * kHorizon + (kWidth - kTick));
+    push(k * kHorizon + kWidth);
   }
-  // Pop through the first rim only: 0, h-1, h, h+1. The pop of `h`
-  // lands the rebase anchor exactly on the horizon multiple.
+  // Pop through the first rim only: 0, h-1, h, h+1.
   for (int i = 0; i < 4; ++i) {
     Event got;
     Event want;
@@ -276,7 +275,7 @@ TEST(EventQueueProperty, PromotionSplitsExactHorizonRim) {
     ASSERT_EQ(got.time, want.time) << "rim pop " << i;
     ASSERT_EQ(got.aux, want.aux) << "rim pop " << i;
   }
-  push(kWidth);            // straggler far below the re-anchored window
+  push(kWidth);            // straggler far below the clock
   push(2 * kHorizon);      // duplicate of an already-queued rim time
   push(kHorizon + kWidth);  // ties the queued first-bucket entry
   drain_and_compare(q, ref);

@@ -145,6 +145,10 @@ TEST(SimConfigValidation, RejectsOutOfRangeKnobs) {
   config = fault_test_cluster();
   config.ect_slack = kNaN;
   expect_rejected(config);
+  // inf passes `ect_slack > 0` but overflows scale_time(ect, slack).
+  config = fault_test_cluster();
+  config.ect_slack = std::numeric_limits<double>::infinity();
+  expect_rejected(config);
   config = fault_test_cluster();
   config.speculation.quantile = kNaN;
   expect_rejected(config);

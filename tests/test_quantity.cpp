@@ -1,6 +1,6 @@
 // dagonunits acceptance tests (DESIGN.md §14).
 //
-// Three layers of coverage:
+// Four layers of coverage:
 //   1. Compile-time: the operator whitelist admits exactly the documented
 //      algebra. SFINAE probes assert that forbidden mixes (time + bytes,
 //      double × quantity, bytes × time, ...) do NOT compile, and that
@@ -10,10 +10,15 @@
 //   3. Release equivalence: on non-overflowing inputs, quantity
 //      arithmetic is bit-for-bit the raw int64 arithmetic it replaced —
 //      the property the pinned fingerprints rest on.
+//   4. Converter range checks: double -> quantity converters throw
+//      InvariantError on NaN and out-of-range values (every build) and
+//      match static_cast exactly inside the range.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -247,6 +252,67 @@ TEST(Quantity, TruncatingConvertersKeepLegacySemantics) {
   EXPECT_EQ(scale_time(SimTime{-10}, 0.55), SimTime{-5});
   EXPECT_EQ(bytes_from_double(1.99), Bytes{1});
   EXPECT_EQ(cpus_from_double(2.99), Cpus{2});
+}
+
+// -- converter range checks (DESIGN.md §14) ----------------------------------
+// A double -> integer cast whose result does not fit is undefined; on
+// x86 it yields INT64_MIN, a negative time. The converters throw instead.
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kTwo63 = 9223372036854775808.0;  // 2^63
+constexpr double kTwo31 = 2147483648.0;           // 2^31
+
+TEST(Quantity, ConvertersAcceptTheFullIntegerRange) {
+  // The largest double below 2^63 and -2^63 itself both fit.
+  const double below = std::nextafter(kTwo63, 0.0);
+  EXPECT_EQ(time_from_usec(below).count(), static_cast<std::int64_t>(below));
+  EXPECT_EQ(time_from_usec(-kTwo63), SimTime{INT64_MIN});
+  EXPECT_EQ(bytes_from_double(below).count(),
+            static_cast<std::int64_t>(below));
+  EXPECT_EQ(bytes_from_double(-kTwo63), Bytes{INT64_MIN});
+  EXPECT_EQ(from_seconds(9.2e12), SimTime{9'200'000'000'000'000'000});
+  EXPECT_EQ(scale_time(kSec, 1e12), SimTime{1'000'000'000'000'000'000});
+  // 32-bit Cpus: truncation keeps anything strictly inside (min-1, max+1).
+  EXPECT_EQ(cpus_from_double(kTwo31 - 0.5), Cpus{INT32_MAX});
+  EXPECT_EQ(cpus_from_double(-kTwo31), Cpus{INT32_MIN});
+  EXPECT_EQ(cpus_from_double(-kTwo31 - 0.5), Cpus{INT32_MIN});
+}
+
+TEST(Quantity, InRangeConversionsMatchStaticCast) {
+  for (double v : {0.0, -0.0, 0.4, -0.4, 0.999, 1.0, -1.0, 12345.678,
+                   -98765.4321, 1e9, -1e9, 2147483647.0, -2147483647.5,
+                   1e15 + 0.5, -1e15 - 0.5, 9.2e18, -9.2e18}) {
+    EXPECT_EQ(time_from_usec(v).count(), static_cast<std::int64_t>(v)) << v;
+    EXPECT_EQ(bytes_from_double(v).count(), static_cast<std::int64_t>(v))
+        << v;
+    if (v > -kTwo31 - 1.0 && v < kTwo31) {
+      EXPECT_EQ(cpus_from_double(v).count(), static_cast<std::int32_t>(v))
+          << v;
+    }
+  }
+}
+
+TEST(Quantity, ConvertersThrowOnNaNAndOutOfRange) {
+  for (double v : {kNaN, kInf, -kInf, kTwo63, -std::nextafter(kTwo63, kInf),
+                   1e19, -1e19, 1e300}) {
+    EXPECT_THROW((void)time_from_usec(v), InvariantError) << v;
+    EXPECT_THROW((void)bytes_from_double(v), InvariantError) << v;
+    EXPECT_THROW((void)cpus_from_double(v), InvariantError) << v;
+  }
+  EXPECT_THROW((void)cpus_from_double(kTwo31), InvariantError);
+  EXPECT_THROW((void)cpus_from_double(-kTwo31 - 1.0), InvariantError);
+  // from_seconds checks the rounded microsecond count.
+  EXPECT_THROW((void)from_seconds(kNaN), InvariantError);
+  EXPECT_THROW((void)from_seconds(1e13), InvariantError);
+  EXPECT_THROW((void)from_seconds(-1e13), InvariantError);
+  EXPECT_THROW((void)from_seconds(kInf), InvariantError);
+  // scale_time goes through time_from_usec: a huge factor or an infinite
+  // one (an unchecked ect_slack) throws instead of wrapping negative.
+  EXPECT_THROW((void)scale_time(kSec, 1e13), InvariantError);
+  EXPECT_THROW((void)scale_time(kTimeInfinity, 2.0), InvariantError);
+  EXPECT_THROW((void)scale_time(kSec, kInf), InvariantError);
+  EXPECT_THROW((void)scale_time(kSec, kNaN), InvariantError);
 }
 
 }  // namespace

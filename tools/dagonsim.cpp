@@ -544,6 +544,9 @@ int main(int argc, char** argv) {
   } catch (const ConfigError& e) {
     std::cerr << "invalid config: " << e.what() << "\n";
     return 2;
+  } catch (const InvariantError& e) {
+    std::cerr << "simulation failed: " << e.what() << "\n";
+    return 1;
   }
   const RunMetrics& m = sweep.runs.front().metrics;
 
