@@ -10,8 +10,10 @@
 //      time-sliced threads would be noise presented as signal. Results
 //      are fingerprint-checked bit-identical whenever both runs happen.
 //  (2) Scheduler hot path — simulation events/sec of the serial sweep,
-//      the number that tracks the hot path across revisions; CI floors
-//      the --quick grid's value with bench/perf_floor.json.
+//      in total and per workload, the numbers that track the hot path
+//      across revisions. CI floors two --quick entries with
+//      bench/perf_floor.json: KMeans, and ConnectedComponent, whose
+//      reduce tasks shuffle-read every map output.
 #include <algorithm>
 #include <fstream>
 #include <thread>
@@ -23,24 +25,31 @@ using namespace dagon;
 
 namespace {
 
-std::vector<SweepRun> make_grid() {
-  // 4 workloads × the Fig. 8 systems = 16 independent runs (--quick:
-  // one workload, 4 runs — the CI smoke grid the perf floor is keyed to).
+/// One workload's runs under every Fig. 8 system.
+struct WorkloadGrid {
+  std::string workload;
+  std::vector<SweepRun> runs;
+};
+
+std::vector<WorkloadGrid> make_grids() {
+  // 4 workloads × the Fig. 8 systems = 16 independent runs (--quick: the
+  // first two, 8 runs — the CI smoke grid the perf floors are keyed to).
   std::vector<WorkloadId> ids = {
       WorkloadId::KMeans, WorkloadId::ConnectedComponent,
       WorkloadId::PageRank, WorkloadId::LogisticRegression};
-  if (bench::options().quick) ids.resize(1);
+  if (bench::options().quick) ids.resize(2);
   const std::vector<SystemCombo> systems = figure8_systems();
-  std::vector<SweepRun> grid;
-  grid.reserve(ids.size() * systems.size());
+  std::vector<WorkloadGrid> grids;
   for (const WorkloadId id : ids) {
     const Workload w = make_workload(id, bench::bench_scale());
+    WorkloadGrid& g = grids.emplace_back();
+    g.workload = workload_name(id);
     for (const SystemCombo& combo : systems) {
-      grid.push_back({std::string(workload_name(id)) + "/" + combo.label,
-                      w, apply_combo(bench::bench_testbed(), combo)});
+      g.runs.push_back({g.workload + "/" + combo.label, w,
+                        apply_combo(bench::bench_testbed(), combo)});
     }
   }
-  return grid;
+  return grids;
 }
 
 std::uint64_t sweep_fingerprint(const SweepReport& r) {
@@ -67,7 +76,11 @@ int main(int argc, char** argv) {
       "parallel sweeps are bit-identical to serial and divide wall time "
       "by the worker count");
 
-  const auto grid = make_grid();
+  const auto grids = make_grids();
+  std::vector<SweepRun> grid;
+  for (const WorkloadGrid& g : grids) {
+    grid.insert(grid.end(), g.runs.begin(), g.runs.end());
+  }
 
   // --- (1) sweep scaling: serial vs parallel -----------------------------
   const unsigned hw_raw = std::thread::hardware_concurrency();
@@ -85,7 +98,19 @@ int main(int argc, char** argv) {
       "time-slice, and its wall clock would measure context-switch "
       "overhead rather than engine scaling";
 
-  const SweepReport serial = run_sweep(grid, SweepOptions{1});
+  // The serial sweep runs one workload at a time, so each workload's
+  // events/sec is timed on its own; together they are the whole grid.
+  SweepReport serial;
+  std::vector<double> workload_events_per_sec;
+  for (const WorkloadGrid& g : grids) {
+    SweepReport part = run_sweep(g.runs, SweepOptions{1});
+    workload_events_per_sec.push_back(
+        part.wall_seconds > 0.0
+            ? static_cast<double>(total_events(part)) / part.wall_seconds
+            : 0.0);
+    serial.wall_seconds += part.wall_seconds;
+    for (RunResult& run : part.runs) serial.runs.push_back(std::move(run));
+  }
   SweepReport parallel;
   bool identical = true;
   double speedup = 0.0;
@@ -124,6 +149,11 @@ int main(int argc, char** argv) {
   std::cout << "(2) scheduler hot path: " << events
             << " events per sweep, "
             << TextTable::num(events_per_sec, 0) << " events/sec\n";
+  for (std::size_t i = 0; i < grids.size(); ++i) {
+    std::cout << "    " << grids[i].workload << ": "
+              << TextTable::num(workload_events_per_sec[i], 0)
+              << " events/sec\n";
+  }
 
   const std::string json_path = bench::out_path("BENCH_perf.json");
   std::ofstream json(json_path);
@@ -148,7 +178,13 @@ int main(int argc, char** argv) {
          << (identical ? "true" : "false") << ",\n";
   }
   json << "  \"events_per_sweep\": " << events << ",\n"
-       << "  \"events_per_sec\": " << events_per_sec << "\n"
+       << "  \"events_per_sec\": " << events_per_sec << ",\n"
+       << "  \"events_per_sec_by_workload\": {";
+  for (std::size_t i = 0; i < grids.size(); ++i) {
+    json << (i > 0 ? ", " : "") << "\"" << grids[i].workload
+         << "\": " << workload_events_per_sec[i];
+  }
+  json << "}\n"
        << "}\n";
   std::cout << "\nJSON: " << json_path << "\n";
 

@@ -18,8 +18,10 @@
 // executor index — the hot path this PR rebuilt — rather than the
 // locality memo (whose per-stage table is capped; see
 // LocalityCache::kMaxMemoSlots). Keeping the shuffle *parent* at 32
-// partitions matters: JobDag::task_inputs enumerates every parent
-// partition per consumer task, so a wide parent would turn input
+// partitions matters: prep's output is cacheable, so each fan task
+// reads it block by block, one BlockManagerMaster::lookup per parent
+// partition (only non-cacheable shuffle parents are read from per-source
+// counts in O(1), DESIGN.md §11), and a wide parent would turn input
 // assembly itself into the bottleneck being measured.
 //
 // Each point runs in a forked child process and pipes its result back,

@@ -1,6 +1,7 @@
 #include "cache/block_manager_master.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "common/error.hpp"
 
@@ -55,6 +56,84 @@ BlockManagerMaster::BlockManagerMaster(const Topology& topo,
       add_prefetchable(BlockId{rdd.id, p});
     }
   }
+  // Shuffle-read counts: one slot per non-cacheable shuffle parent, in
+  // stage order; tracked inputs start with their HDFS replicas.
+  shuffle_slot_.assign(dag.rdds().size(), -1);
+  std::size_t tracked = 0;
+  for (const Stage& s : dag.stages()) {
+    for (const RddRef& ref : s.inputs) {
+      auto& slot = shuffle_slot_[static_cast<std::size_t>(ref.rdd.value())];
+      if (ref.kind == DepKind::Shuffle && !dag.rdd(ref.rdd).cacheable &&
+          slot < 0) {
+        slot = static_cast<std::int32_t>(tracked++);
+      }
+    }
+  }
+  shuffle_counts_.resize(tracked);
+  node_disk_counts_.assign(tracked * topo.num_nodes(), 0);
+  rack_disk_counts_.assign(tracked * topo.num_racks(), 0);
+  for (const Rdd& rdd : dag.rdds()) {
+    if (!rdd.is_input ||
+        shuffle_slot_[static_cast<std::size_t>(rdd.id.value())] < 0) {
+      continue;
+    }
+    for (std::int32_t p = 0; p < rdd.num_partitions; ++p) {
+      count_disk_copies(BlockId{rdd.id, p}, 1);
+    }
+  }
+}
+
+BlockManagerMaster::ShuffleCounts* BlockManagerMaster::tracked_counts(
+    RddId rdd) {
+  const std::int32_t slot =
+      shuffle_slot_[static_cast<std::size_t>(rdd.value())];
+  return slot < 0 ? nullptr
+                  : &shuffle_counts_[static_cast<std::size_t>(slot)];
+}
+
+void BlockManagerMaster::count_disk_copies(const BlockId& block,
+                                           std::int32_t delta) {
+  const std::int32_t slot =
+      shuffle_slot_[static_cast<std::size_t>(block.rdd.value())];
+  if (slot < 0) return;
+  // An input's disk copies are its HDFS replicas, a produced block's are
+  // its produced copies; neither list names a node twice.
+  const std::size_t o = ord(block);
+  const auto& hdfs = hdfs_->replicas_by_ord(static_cast<std::int64_t>(o));
+  const auto& nodes = hdfs.empty() ? produced_disk_[o] : hdfs;
+  if (nodes.empty()) return;
+  shuffle_counts_[static_cast<std::size_t>(slot)].on_disk += delta;
+  const std::size_t node_base =
+      static_cast<std::size_t>(slot) * topo_->num_nodes();
+  const std::size_t rack_base =
+      static_cast<std::size_t>(slot) * topo_->num_racks();
+  for (auto it = nodes.begin(); it != nodes.end(); ++it) {
+    node_disk_counts_[node_base + static_cast<std::size_t>(it->value())] +=
+        delta;
+    // A partition counts once per rack, however many copies share it.
+    const RackId rack = topo_->rack_of(*it);
+    if (std::none_of(nodes.begin(), it, [&](NodeId earlier) {
+          return topo_->rack_of(earlier) == rack;
+        })) {
+      rack_disk_counts_[rack_base + static_cast<std::size_t>(rack.value())] +=
+          delta;
+    }
+  }
+}
+
+template <class Change>
+void BlockManagerMaster::change_disk_nodes(const BlockId& block,
+                                           Change&& change) {
+  const std::size_t o = ord(block);
+  // A flagged block leaves the per-node candidate index for its old
+  // disk-holder set and rejoins it for the new one.
+  const bool was_pf = prefetchable_[o] != 0;
+  if (was_pf) unindex_prefetchable(block);
+  count_disk_copies(block, -1);
+  change(produced_disk_[o]);
+  count_disk_copies(block, 1);
+  if (was_pf) index_prefetchable(block);
+  journal(block);
 }
 
 void BlockManagerMaster::index_prefetchable(const BlockId& block) {
@@ -214,6 +293,55 @@ BlockManagerMaster::Lookup BlockManagerMaster::lookup(
   return best;
 }
 
+std::optional<BlockManagerMaster::DiskSplit>
+BlockManagerMaster::shuffle_disk_split(RddId rdd, ExecutorId reader) const {
+  const std::int32_t slot =
+      shuffle_slot_[static_cast<std::size_t>(rdd.value())];
+  if (slot < 0) return std::nullopt;
+  const ShuffleCounts& counts =
+      shuffle_counts_[static_cast<std::size_t>(slot)];
+  if (counts.in_memory > 0) return std::nullopt;
+  const std::int32_t parts = dag_->rdd(rdd).num_partitions;
+  // With no memory copy, a partition exists only where it has a disk
+  // copy; name the first missing one, as lookup() would.
+  const auto first_missing = [&] {
+    std::int32_t p = 0;
+    while (p + 1 < parts && exists(BlockId{rdd, p})) ++p;
+    return BlockId{rdd, p};
+  };
+  DAGON_CHECK_MSG(counts.on_disk == parts,
+                  "block " << first_missing()
+                           << " read before it exists anywhere");
+  const NodeId node = topo_->node_of(reader);
+  const RackId rack = topo_->rack_of(node);
+  const std::int32_t local = node_disk_counts_
+      [static_cast<std::size_t>(slot) * topo_->num_nodes() +
+       static_cast<std::size_t>(node.value())];
+  const std::int32_t in_rack = rack_disk_counts_
+      [static_cast<std::size_t>(slot) * topo_->num_racks() +
+       static_cast<std::size_t>(rack.value())];
+  const DiskSplit split{local, in_rack - local, counts.on_disk - in_rack};
+#ifndef NDEBUG
+  // Debug builds walk the RDD block by block and hold the counts to it.
+  std::array<std::int32_t, 7> walked{};
+  for (std::int32_t p = 0; p < parts; ++p) {
+    ++walked[static_cast<std::size_t>(lookup(BlockId{rdd, p}, reader).source)];
+  }
+  const DiskSplit by_lookup{
+      walked[static_cast<std::size_t>(BlockSource::LocalDisk)],
+      walked[static_cast<std::size_t>(BlockSource::RackDisk)],
+      walked[static_cast<std::size_t>(BlockSource::RemoteDisk)]};
+  DAGON_CHECK_MSG(by_lookup == split,
+                  "shuffle-read counts of rdd "
+                      << rdd << " for exec " << reader << " give "
+                      << split.local << "/" << split.rack << "/"
+                      << split.remote << ", lookup() gives "
+                      << by_lookup.local << "/" << by_lookup.rack << "/"
+                      << by_lookup.remote);
+#endif
+  return split;
+}
+
 void BlockManagerMaster::apply_insert(
     const BlockManager::InsertResult& result, const BlockId& block,
     ExecutorId exec) {
@@ -225,6 +353,11 @@ void BlockManagerMaster::apply_insert(
   if (result.admitted) {
     auto& holders = memory_copies_[o];
     if (std::find(holders.begin(), holders.end(), exec) == holders.end()) {
+      if (holders.empty()) {
+        if (ShuffleCounts* counts = tracked_counts(block.rdd)) {
+          ++counts->in_memory;
+        }
+      }
       holders.push_back(exec);
       journal(block);
     }
@@ -257,6 +390,9 @@ void BlockManagerMaster::note_evicted(const BlockId& block, ExecutorId exec) {
                 holders.end());
   journal(block);
   if (holders.empty()) {
+    if (ShuffleCounts* counts = tracked_counts(block.rdd)) {
+      --counts->in_memory;
+    }
     // Last memory copy gone; the durable disk copy keeps the block
     // recoverable (eviction is always safe, DESIGN.md §4).
     set_residency(block, BlockResidency::Evicted);
@@ -281,15 +417,11 @@ void BlockManagerMaster::on_block_produced(const BlockId& block,
       producers.end()) {
     producers.push_back(exec);
   }
-  auto& disks = produced_disk_[o];
+  const auto& disks = produced_disk_[o];
   if (std::find(disks.begin(), disks.end(), node) == disks.end()) {
-    // A flagged block gains a disk-holder node: keep the per-node
-    // candidate index in sync (unindex before, reindex after).
-    const bool was_pf = prefetchable_[o] != 0;
-    if (was_pf) unindex_prefetchable(block);
-    disks.push_back(node);
-    if (was_pf) index_prefetchable(block);
-    journal(block);
+    change_disk_nodes(block, [&](std::vector<NodeId>& nodes) {
+      nodes.push_back(node);
+    });
   }
   // Lifecycle: Absent → Materializing on first production, Lost →
   // Materializing on a lineage recompute; apply_insert (or the
@@ -437,40 +569,32 @@ BlockManagerMaster::DropResult BlockManagerMaster::drop_executor(
         nodes.push_back(n);
       }
     }
-    auto& disks = produced_disk_[o];
-    if (nodes.size() == disks.size()) continue;  // node copy survives
-    result.disk_dropped +=
-        static_cast<std::int64_t>(disks.size() - nodes.size());
-    // The block's disk-holder set is about to change; a flagged block
-    // must leave the per-node index for the stale set and rejoin for the
-    // new one (or not at all, if it ends up Lost).
-    const bool was_pf = prefetchable_[o] != 0;
-    if (was_pf) unindex_prefetchable(block);
-    disks = std::move(nodes);
-    journal(block);
-
-    if (!disks.empty() ||
-        !hdfs_->replicas_by_ord(static_cast<std::int64_t>(o)).empty()) {
-      if (was_pf) index_prefetchable(block);
-      continue;  // a durable copy survives elsewhere
-    }
-    // Last disk copy gone. If some executor still caches the block,
-    // immediately re-materialize a disk copy at that holder's node so
-    // the eviction-is-always-safe invariant keeps holding. (A block with
-    // a memory holder is never flagged, so there is nothing to reindex.)
+    const std::size_t before = produced_disk_[o].size();
+    if (nodes.size() == before) continue;  // node copy survives
+    result.disk_dropped += static_cast<std::int64_t>(before - nodes.size());
+    // Last disk copy gone? If some executor still caches the block,
+    // re-materialize a disk copy at that holder's node right away, so the
+    // eviction-is-always-safe invariant keeps holding.
+    const bool last_copy =
+        nodes.empty() &&
+        hdfs_->replicas_by_ord(static_cast<std::int64_t>(o)).empty();
     const auto& mem = memory_copies_[o];
-    if (!mem.empty()) {
+    if (last_copy && !mem.empty()) {
       const ExecutorId holder = *std::min_element(mem.begin(), mem.end());
       producers.push_back(holder);
-      disks.push_back(topo_->node_of(holder));
+      nodes.push_back(topo_->node_of(holder));
       ++result.rereplicated;
-    } else {
+    }
+    change_disk_nodes(block, [&](std::vector<NodeId>& disks) {
+      disks = std::move(nodes);
+    });
+    if (last_copy && mem.empty()) {
       // No copy anywhere: only lineage recomputation can bring it back.
       // The memory-drop pass above already moved the block to Evicted if
       // this executor held the last memory copy, so the edge here is
       // Disk → Lost or Evicted → Lost.
       set_residency(block, BlockResidency::Lost);
-      prefetchable_[o] = 0;  // already unindexed above (if flagged)
+      prefetchable_[o] = 0;  // unindexed with its last disk copy
       result.lost.push_back(block);
     }
   }
@@ -543,14 +667,14 @@ BlockManagerMaster::rereplicate_suspect_blocks(ExecutorId target) {
   for (const std::size_t o : at_risk) {
     const BlockId block = dag_->block_at(static_cast<std::int64_t>(o));
     produced_by_[o].push_back(target);
-    auto& disks = produced_disk_[o];
+    const auto& disks = produced_disk_[o];
     if (std::find(disks.begin(), disks.end(), target_node) == disks.end()) {
-      const bool was_pf = prefetchable_[o] != 0;
-      if (was_pf) unindex_prefetchable(block);
-      disks.push_back(target_node);
-      if (was_pf) index_prefetchable(block);
+      change_disk_nodes(block, [&](std::vector<NodeId>& nodes) {
+        nodes.push_back(target_node);
+      });
+    } else {
+      journal(block);
     }
-    journal(block);
     ++result.blocks;
     result.bytes += std::max(block_bytes(block), Bytes{0});
   }

@@ -52,6 +52,23 @@ class BlockManagerMaster {
 
   [[nodiscard]] bool exists(const BlockId& block) const;
 
+  /// Shuffle reads by source (DESIGN.md §11): how many partitions of
+  /// `rdd` a reader on `reader`'s node would read from its own node's
+  /// disk, from another disk in its rack, and from a disk in another
+  /// rack. This is one answer for the whole RDD, and it is given only
+  /// when `rdd` is non-cacheable, some stage reads it through a shuffle
+  /// edge, and no partition has a memory copy; otherwise nullopt, and
+  /// the reader asks lookup() block by block. Throws InvariantError, as
+  /// lookup() does, if a partition exists nowhere.
+  struct DiskSplit {
+    std::int32_t local = 0;
+    std::int32_t rack = 0;
+    std::int32_t remote = 0;
+    friend bool operator==(const DiskSplit&, const DiskSplit&) = default;
+  };
+  [[nodiscard]] std::optional<DiskSplit> shuffle_disk_split(
+      RddId rdd, ExecutorId reader) const;
+
   /// A task on `exec` finished producing `block`: record the durable
   /// disk copy and (for cacheable RDDs) try to admit it to memory.
   void on_block_produced(const BlockId& block, ExecutorId exec, SimTime now);
@@ -255,6 +272,15 @@ class BlockManagerMaster {
 
   void apply_insert(const BlockManager::InsertResult& result,
                     const BlockId& block, ExecutorId exec);
+  /// The one writer of produced_disk_: applies `change` to `block`'s
+  /// produced disk nodes, keeps the prefetch index and the shuffle-read
+  /// counts in step (out before the change, back in after), and
+  /// journals the block.
+  template <class Change>
+  void change_disk_nodes(const BlockId& block, Change&& change);
+  /// Adds `delta` to the counts of every disk holder of `block`, if its
+  /// RDD is tracked for shuffle reads.
+  void count_disk_copies(const BlockId& block, std::int32_t delta);
   void note_evicted(const BlockId& block, ExecutorId exec);
   void journal(const BlockId& block);
   /// Routes every residency write through the transition table.
@@ -266,9 +292,8 @@ class BlockManagerMaster {
   // flagged blocks with a disk copy (HDFS or produced) on node n, so a
   // ranking visits only the node-local subset. Nothing is flagged
   // unless prefetches(). Invariant: flagged ⟺ indexed under every
-  // current disk-holder node. Any code mutating a flagged block's
-  // disk-node set must unindex first and reindex after (see
-  // drop_executor / on_block_produced).
+  // current disk-holder node; change_disk_nodes keeps it across every
+  // change of a block's disk-node set.
   void index_prefetchable(const BlockId& block);
   void unindex_prefetchable(const BlockId& block);
   void add_prefetchable(const BlockId& block);
@@ -296,6 +321,25 @@ class BlockManagerMaster {
   /// Prefetch candidate flags + per-node candidate sets (see above).
   std::vector<char> prefetchable_;
   std::vector<std::set<BlockId>> prefetch_by_node_;
+  // -- shuffle-read counts (shuffle_disk_split) ----------------------------
+  // A tracked RDD is a non-cacheable one that some stage reads through a
+  // shuffle edge; shuffle_slot_[rdd] is its slot, -1 for the rest. Per
+  // slot: partitions with a disk copy (HDFS replica or produced copy)
+  // anywhere and with any memory copy, and partitions with a disk copy
+  // on each node (slot * num_nodes + node) and in each rack (slot *
+  // num_racks + rack). count_disk_copies keeps the disk counts;
+  // apply_insert and note_evicted move the memory count when a block
+  // gains its first memory holder or loses its last.
+  struct ShuffleCounts {
+    std::int32_t on_disk = 0;
+    std::int32_t in_memory = 0;
+  };
+  /// `rdd`'s shuffle-read counts; null unless it is tracked.
+  [[nodiscard]] ShuffleCounts* tracked_counts(RddId rdd);
+  std::vector<std::int32_t> shuffle_slot_;
+  std::vector<ShuffleCounts> shuffle_counts_;
+  std::vector<std::int32_t> node_disk_counts_;
+  std::vector<std::int32_t> rack_disk_counts_;
   /// 1 = suspected by the failure detector (indexed by executor id).
   std::vector<char> suspect_;
   /// Shadow lifecycle state per block ordinal

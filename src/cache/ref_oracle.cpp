@@ -12,31 +12,56 @@ ReferenceOracle::ReferenceOracle(const JobDag& dag) : dag_(&dag) {
   active_.assign(dag.num_stages(), 1);
   pv_ = initial_priority_values(dag);
   refs_.resize(static_cast<std::size_t>(dag.num_blocks()));
+  shuffle_first_.reserve(dag.num_stages() + 1);
   // Stages are visited in ascending id order, so every block's list is
-  // born sorted by stage. A stage may reference one RDD through several
-  // edges: merge its duplicate (block, stage) record into the tail entry,
-  // keeping the max remaining count.
-  const auto add = [&](const BlockId& block, Ref ref) {
-    std::vector<Ref>& refs = refs_of(block);
-    if (!refs.empty() && refs.back().stage == ref.stage) {
-      refs.back().remaining = std::max(refs.back().remaining, ref.remaining);
-    } else {
-      refs.push_back(ref);
-    }
-  };
+  // born sorted by stage. JobDagBuilder allows one edge per (stage,
+  // parent), so each (block, stage) pair gets one record.
   for (const Stage& s : dag.stages()) {
+    shuffle_first_.push_back(
+        static_cast<std::int32_t>(shuffle_remaining_.size()));
     for (const RddRef& ref : s.inputs) {
       const Rdd& parent = dag.rdd(ref.rdd);
       if (ref.kind == DepKind::Narrow) {
         // Block k is read by exactly task k.
         for (std::int32_t t = 0; t < s.num_tasks; ++t) {
-          add(BlockId{ref.rdd, t}, Ref{s.id, 1});
+          refs_of(BlockId{ref.rdd, t}).push_back(Ref{s.id, 1});
         }
       } else {
-        // Every task pulls a slice of every parent block.
+        // Every task pulls a slice of every parent block: the blocks'
+        // counts move together, so they share one counter.
+        const auto counter =
+            static_cast<std::int32_t>(shuffle_remaining_.size());
+        shuffle_remaining_.push_back(s.num_tasks);
         for (std::int32_t p = 0; p < parent.num_partitions; ++p) {
-          add(BlockId{ref.rdd, p}, Ref{s.id, s.num_tasks});
+          refs_of(BlockId{ref.rdd, p}).push_back(Ref{s.id, ~counter});
         }
+      }
+    }
+  }
+  shuffle_first_.push_back(
+      static_cast<std::int32_t>(shuffle_remaining_.size()));
+}
+
+template <class Fn>
+void ReferenceOracle::for_each_task_count(StageId stage, std::int32_t task,
+                                          Fn&& fn) {
+  const Stage& s = dag_->stage(stage);
+  DAGON_CHECK_MSG(task >= 0 && task < s.num_tasks,
+                  "task " << task << " out of range for stage " << stage);
+  auto counter = static_cast<std::size_t>(
+      shuffle_first_[static_cast<std::size_t>(stage.value())]);
+  for (const RddRef& ref : s.inputs) {
+    const bool shuffle = ref.kind == DepKind::Shuffle;
+    std::int32_t* shared = shuffle ? &shuffle_remaining_[counter++] : nullptr;
+    if (dag_->rdd(ref.rdd).bytes_per_partition <= Bytes{0}) continue;
+    if (shuffle) {
+      fn(*shared);
+      continue;
+    }
+    for (Ref& r : refs_of(BlockId{ref.rdd, task})) {
+      if (r.stage == stage) {
+        fn(r.count);
+        break;
       }
     }
   }
@@ -44,14 +69,9 @@ ReferenceOracle::ReferenceOracle(const JobDag& dag) : dag_(&dag) {
 
 void ReferenceOracle::on_task_launched(StageId stage, std::int32_t task) {
   ++epoch_;
-  for (const TaskInput& in : dag_->task_inputs(stage, task)) {
-    for (Ref& r : refs_of(in.block)) {
-      if (r.stage == stage && r.remaining > 0) {
-        --r.remaining;
-        break;
-      }
-    }
-  }
+  for_each_task_count(stage, task, [](std::int32_t& count) {
+    if (count > 0) --count;
+  });
 }
 
 void ReferenceOracle::mark_stage_finished(StageId stage) {
@@ -66,14 +86,8 @@ void ReferenceOracle::restore_task_refs(StageId stage, std::int32_t task) {
               static_cast<std::size_t>(stage.value()) < finished_.size());
   ++epoch_;
   finished_[static_cast<std::size_t>(stage.value())] = false;
-  for (const TaskInput& in : dag_->task_inputs(stage, task)) {
-    for (Ref& r : refs_of(in.block)) {
-      if (r.stage == stage) {
-        ++r.remaining;
-        break;
-      }
-    }
-  }
+  for_each_task_count(stage, task,
+                      [](std::int32_t& count) { ++count; });
 }
 
 void ReferenceOracle::set_priority_values(std::vector<CpuWork> pv) {
@@ -120,14 +134,8 @@ void ReferenceOracle::enable_peer_tracking() {
     for (const RddRef& ref : s.inputs) {
       if (ref.kind != DepKind::Narrow) continue;
       if (!dag_->rdd(ref.rdd).cacheable) continue;
-      auto& readers = narrow_readers_[static_cast<std::size_t>(
-          ref.rdd.value())];
-      // A stage may read one RDD through several narrow edges; the
-      // group slot counts the distinct block once.
-      if (std::find(readers.begin(), readers.end(), s.id) != readers.end()) {
-        continue;
-      }
-      readers.push_back(s.id);
+      narrow_readers_[static_cast<std::size_t>(ref.rdd.value())].push_back(
+          s.id);
       for (std::int32_t t = 0; t < s.num_tasks; ++t) {
         ++task_missing_[group_ord(s.id, t)];
       }

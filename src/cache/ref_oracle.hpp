@@ -14,7 +14,10 @@
 // reading tasks launch: once every task of stage s that reads block b
 // has started, s no longer holds a reference on b — this is what lets
 // MRD/LRP discard data the moment its last reader has picked it up
-// (Fig. 6's per-stage reference deletion).
+// (Fig. 6's per-stage reference deletion). A narrow reader's count is
+// its own (task k reads block k); a shuffle reader's count is shared
+// by every block of the parent, because each of its tasks reads them
+// all, so a launch moves one counter per shuffle edge (DESIGN.md §12).
 //
 // Online serving extends the same structure across jobs. The merged
 // serving DAG contains every job's stages, so one oracle aggregates
@@ -136,11 +139,15 @@ class ReferenceOracle {
   [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
 
  private:
+  /// One (block, reader stage) record. `count` >= 0 is a narrow
+  /// reader's tasks that have not launched yet (0 = consumed); `count` <
+  /// 0 names the shared counter of a shuffle edge, ~count in
+  /// shuffle_remaining_.
   struct Ref {
     StageId stage;
-    /// Reading tasks that have not launched yet; 0 = consumed.
-    std::int32_t remaining = 0;
+    std::int32_t count = 0;
   };
+  static_assert(sizeof(Ref) == 8);
 
   [[nodiscard]] const std::vector<Ref>& refs_of(const BlockId& block) const {
     return refs_[static_cast<std::size_t>(dag_->block_ord(block))];
@@ -148,15 +155,31 @@ class ReferenceOracle {
   [[nodiscard]] std::vector<Ref>& refs_of(const BlockId& block) {
     return refs_[static_cast<std::size_t>(dag_->block_ord(block))];
   }
+  /// Reading tasks of `ref`'s stage that have not launched yet.
+  [[nodiscard]] std::int32_t remaining(const Ref& ref) const {
+    return ref.count >= 0
+               ? ref.count
+               : shuffle_remaining_[static_cast<std::size_t>(~ref.count)];
+  }
   [[nodiscard]] bool live(const Ref& ref) const {
-    return ref.remaining > 0 && !stage_finished(ref.stage) &&
+    return remaining(ref) > 0 && !stage_finished(ref.stage) &&
            active_[static_cast<std::size_t>(ref.stage.value())] != 0;
   }
+  /// Calls `fn(std::int32_t& count)` on each count task `task` of
+  /// `stage` moves: the block's record for a narrow edge, the shared
+  /// counter for a shuffle edge. Zero-byte parents are skipped: no task
+  /// reads them, so their references last until the stage finishes.
+  template <class Fn>
+  void for_each_task_count(StageId stage, std::int32_t task, Fn&& fn);
 
   const JobDag* dag_;
   /// Per-stage reference records (ascending stage id), indexed by dense
   /// block ordinal (JobDag::block_ord); empty for unreferenced blocks.
   std::vector<std::vector<Ref>> refs_;
+  /// One remaining-task counter per shuffle edge, in stage order and,
+  /// within a stage, input order; shuffle_first_[s] is stage s's first.
+  std::vector<std::int32_t> shuffle_remaining_;
+  std::vector<std::int32_t> shuffle_first_;
   std::vector<bool> finished_;
   /// 0 = the stage's job has not arrived; its references are inactive.
   std::vector<char> active_;

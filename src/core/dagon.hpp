@@ -46,6 +46,7 @@
 #include "sched/task_locality.hpp"
 
 #include "sim/driver.hpp"
+#include "sim/input_reads.hpp"
 #include "sim/metrics.hpp"
 #include "sim/sim_config.hpp"
 

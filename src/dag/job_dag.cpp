@@ -63,28 +63,9 @@ const std::vector<StageId>& JobDag::successor_set(StageId id) const {
 
 std::vector<TaskInput> JobDag::task_inputs(StageId id,
                                            std::int32_t task) const {
-  const Stage& s = stage(id);
-  DAGON_CHECK_MSG(task >= 0 && task < s.num_tasks,
-                  "task " << task << " out of range for stage " << id);
   std::vector<TaskInput> inputs;
-  for (const RddRef& ref : s.inputs) {
-    const Rdd& parent = rdd(ref.rdd);
-    // Zero-byte RDDs (pure control dependencies) carry no data to read.
-    if (parent.bytes_per_partition <= Bytes{0}) continue;
-    if (ref.kind == DepKind::Narrow) {
-      inputs.push_back(TaskInput{BlockId{ref.rdd, task},
-                                 parent.bytes_per_partition,
-                                 DepKind::Narrow});
-    } else {
-      // Shuffle: every task pulls a slice of every parent block.
-      const Bytes slice = std::max(
-          Bytes{1}, parent.bytes_per_partition / std::max(1, s.num_tasks));
-      for (std::int32_t p = 0; p < parent.num_partitions; ++p) {
-        inputs.push_back(TaskInput{BlockId{ref.rdd, p}, slice,
-                                   DepKind::Shuffle});
-      }
-    }
-  }
+  for_each_task_input(id, task,
+                      [&](const TaskInput& in) { inputs.push_back(in); });
   return inputs;
 }
 
@@ -104,13 +85,13 @@ std::vector<BlockId> JobDag::stage_input_blocks(StageId id) const {
     }
   }
   std::sort(inputs.begin(), inputs.end());
-  inputs.erase(std::unique(inputs.begin(), inputs.end()), inputs.end());
   return inputs;
 }
 
 Bytes JobDag::task_input_bytes(StageId id, std::int32_t task) const {
   Bytes total{};
-  for (const TaskInput& in : task_inputs(id, task)) total += in.bytes;
+  for_each_task_input(id, task,
+                      [&](const TaskInput& in) { total += in.bytes; });
   return total;
 }
 
@@ -186,12 +167,21 @@ StageId JobDagBuilder::add_stage(const StageParams& params) {
     throw ConfigError("stage '" + params.name +
                       "': duration_skew size != num_tasks");
   }
-  for (const RddRef& ref : params.inputs) {
+  for (auto it = params.inputs.begin(); it != params.inputs.end(); ++it) {
+    const RddRef& ref = *it;
     if (!ref.rdd.valid() ||
         static_cast<std::size_t>(ref.rdd.value()) >= dag_.rdds_.size()) {
       throw ConfigError("stage '" + params.name + "' reads unknown RDD");
     }
     const Rdd& parent = dag_.rdds_[static_cast<std::size_t>(ref.rdd.value())];
+    // One edge per parent: the reference oracle keeps one record per
+    // (block, reader stage), and a second edge would consume it twice.
+    if (std::any_of(params.inputs.begin(), it, [&](const RddRef& earlier) {
+          return earlier.rdd == ref.rdd;
+        })) {
+      throw ConfigError("stage '" + params.name + "' reads '" + parent.name +
+                        "' through more than one edge");
+    }
     if (ref.kind == DepKind::Narrow &&
         parent.num_partitions != params.num_tasks) {
       throw ConfigError("stage '" + params.name + "': narrow dep on '" +

@@ -5,10 +5,12 @@
 // cyclic or dangling structures — so a JobDag in hand is always sound.
 #pragma once
 
+#include <algorithm>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "common/error.hpp"
 #include "dag/block.hpp"
 #include "dag/rdd.hpp"
 #include "dag/stage.hpp"
@@ -48,6 +50,20 @@ class JobDag {
   /// narrow deps, per-task shuffle slices for wide deps.
   [[nodiscard]] std::vector<TaskInput> task_inputs(StageId id,
                                                    std::int32_t task) const;
+
+  /// Calls `fn(const TaskInput&)` for each read of task_inputs(id, task),
+  /// in the same order, without building the vector.
+  template <class Fn>
+  void for_each_task_input(StageId id, std::int32_t task, Fn&& fn) const;
+
+  /// Bytes one task of `reader` pulls from each block of `parent`
+  /// through a shuffle edge: the block split evenly over the reader's
+  /// tasks, at least one byte.
+  [[nodiscard]] static Bytes shuffle_slice(const Stage& reader,
+                                           const Rdd& parent) {
+    return std::max(Bytes{1},
+                    parent.bytes_per_partition / std::max(1, reader.num_tasks));
+  }
 
   /// Distinct blocks accessed by the whole stage (union over tasks).
   [[nodiscard]] std::vector<BlockId> stage_input_blocks(StageId id) const;
@@ -99,6 +115,29 @@ class JobDag {
   /// entry holds num_blocks(). Built by JobDagBuilder::build().
   std::vector<std::int64_t> block_offset_;
 };
+
+template <class Fn>
+void JobDag::for_each_task_input(StageId id, std::int32_t task,
+                                 Fn&& fn) const {
+  const Stage& s = stage(id);
+  DAGON_CHECK_MSG(task >= 0 && task < s.num_tasks,
+                  "task " << task << " out of range for stage " << id);
+  for (const RddRef& ref : s.inputs) {
+    const Rdd& parent = rdd(ref.rdd);
+    // Zero-byte RDDs (pure control dependencies) carry no data to read.
+    if (parent.bytes_per_partition <= Bytes{0}) continue;
+    if (ref.kind == DepKind::Narrow) {
+      fn(TaskInput{BlockId{ref.rdd, task}, parent.bytes_per_partition,
+                   DepKind::Narrow});
+    } else {
+      // Shuffle: every task pulls a slice of every parent block.
+      const Bytes slice = shuffle_slice(s, parent);
+      for (std::int32_t p = 0; p < parent.num_partitions; ++p) {
+        fn(TaskInput{BlockId{ref.rdd, p}, slice, DepKind::Shuffle});
+      }
+    }
+  }
+}
 
 /// Incremental builder; see workloads/ for usage examples.
 class JobDagBuilder {

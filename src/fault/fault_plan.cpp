@@ -177,6 +177,13 @@ SimTime FaultPlan::partitioned_until(RackId rack, SimTime now) const {
   return heal;
 }
 
+bool FaultPlan::partition_active(SimTime now) const {
+  return std::any_of(partitions_.begin(), partitions_.end(),
+                     [&](const Partition& p) {
+                       return p.at <= now && now < p.heal_at;
+                     });
+}
+
 SimTime FaultPlan::cross_partition_heal(RackId rack_a, RackId rack_b,
                                         SimTime now) const {
   if (rack_a == rack_b) return SimTime{0};

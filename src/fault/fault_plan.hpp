@@ -76,6 +76,9 @@ class FaultPlan {
   /// if the rack is reachable.
   [[nodiscard]] SimTime partitioned_until(RackId rack, SimTime now) const;
 
+  /// Whether any rack is partitioned at `now`.
+  [[nodiscard]] bool partition_active(SimTime now) const;
+
   /// Heal time after which traffic between `rack_a` and `rack_b` can
   /// flow again, or 0 if unaffected at `now`. Same-rack traffic never
   /// crosses a partition.

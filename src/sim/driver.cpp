@@ -1,7 +1,6 @@
 #include "sim/driver.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <limits>
 
@@ -10,6 +9,7 @@
 #include "common/log.hpp"
 #include "dag/dag_analysis.hpp"
 #include "sched/task_locality.hpp"
+#include "sim/input_reads.hpp"
 
 namespace dagon {
 
@@ -424,57 +424,39 @@ void SimDriver::launch_task(StageId s, const Assignment& a, SimTime now,
   // one source category are pipelined (Spark batches shuffle fetches per
   // remote endpoint), so per-fetch latency is paid once per category,
   // not once per block: bytes are summed and costed in one call.
-  std::array<Bytes, 7> bytes_by_source{};
-  Bytes serde_bytes{};
   // Gray faults: a degraded executor's transfers and compute are scaled
   // by the slowdown factor; a fetch whose best source sits across an
   // active partition stalls until the heal. Speed tiers compose
   // multiplicatively (a fast tier's mult < 1 speeds everything up).
   const double degrade = fault_plan_.degrade_factor(a.exec, now);
   const double slow = degrade * state_.executor(a.exec).speed_mult;
-  SimTime partition_stall{};
   // Effective-hit accounting (LERC's metric): the read is effective only
   // when EVERY cacheable narrow input is served from cluster memory —
   // a remote-memory read is still a BlockManager cache hit; only a disk
   // read or recompute breaks the peer group's effectiveness.
   bool any_cacheable_narrow = false;
   bool all_inputs_memory = true;
-  for (const TaskInput& in : dag_->task_inputs(s, a.task_index)) {
-    const auto lookup = master_.lookup(in.block, a.exec);
-    const Rdd& rdd = dag_->rdd(in.block.rdd);
-    bytes_by_source[static_cast<std::size_t>(lookup.source)] += in.bytes;
-    if (detector_) {
-      const NodeId src_node = is_memory_source(lookup.source)
-                                  ? topo_.node_of(lookup.holder)
-                                  : lookup.disk_node;
-      const SimTime heal = fault_plan_.cross_partition_heal(
-          rack_of_exec(a.exec), topo_.rack_of(src_node), now);
-      if (heal > now) {
-        partition_stall = std::max(partition_stall, heal - now);
-      }
-    }
-    // Raw HDFS input pays no deserialization; RDD data does, on every
-    // source except the reader's own memory store.
-    if (!rdd.is_input && lookup.source != BlockSource::LocalMemory) {
-      serde_bytes += in.bytes;
-    }
-    // Cache statistics cover persisted-RDD block *gets* only (narrow
-    // reads of cacheable RDDs), matching Spark's BlockManager
-    // accounting: shuffle fetches and unpersisted inputs never count.
-    if (rdd.cacheable && in.kind == DepKind::Narrow) {
-      ++metrics_.cache.total_reads;
-      any_cacheable_narrow = true;
-      if (lookup.source == BlockSource::LocalMemory) {
-        ++metrics_.cache.local_memory_hits;
-      } else if (is_memory_source(lookup.source)) {
-        ++metrics_.cache.other_memory_hits;
-      } else {
-        ++metrics_.cache.disk_reads;
-        all_inputs_memory = false;
-      }
-    }
-    master_.on_block_read(in.block, a.exec, lookup, now);
-  }
+  const InputReads reads = read_inputs(
+      *dag_, topo_, master_, detector_ ? &fault_plan_ : nullptr, s,
+      a.task_index, a.exec, now,
+      [&](const TaskInput& in, const BlockManagerMaster::Lookup& lookup) {
+        // Cache statistics cover persisted-RDD block *gets* only (narrow
+        // reads of cacheable RDDs), matching Spark's BlockManager
+        // accounting: shuffle fetches and unpersisted inputs never count.
+        if (in.kind == DepKind::Narrow && dag_->rdd(in.block.rdd).cacheable) {
+          ++metrics_.cache.total_reads;
+          any_cacheable_narrow = true;
+          if (lookup.source == BlockSource::LocalMemory) {
+            ++metrics_.cache.local_memory_hits;
+          } else if (is_memory_source(lookup.source)) {
+            ++metrics_.cache.other_memory_hits;
+          } else {
+            ++metrics_.cache.disk_reads;
+            all_inputs_memory = false;
+          }
+        }
+        master_.on_block_read(in.block, a.exec, lookup, now);
+      });
   if (any_cacheable_narrow) {
     ++metrics_.cache.effective_task_reads;
     if (all_inputs_memory) ++metrics_.cache.effective_task_hits;
@@ -485,17 +467,17 @@ void SimDriver::launch_task(StageId s, const Assignment& a, SimTime now,
     }
   }
   SimTime fetch{};
-  for (std::size_t src = 0; src < bytes_by_source.size(); ++src) {
-    if (bytes_by_source[src] > Bytes{0}) {
-      fetch += cost_.fetch_time(bytes_by_source[src],
+  for (std::size_t src = 0; src < reads.bytes_by_source.size(); ++src) {
+    if (reads.bytes_by_source[src] > Bytes{0}) {
+      fetch += cost_.fetch_time(reads.bytes_by_source[src],
                                 static_cast<BlockSource>(src), 0.0, slow);
     }
   }
   fetch += time_from_usec(cost_.spec().serde_sec_per_byte *
-                          static_cast<double>(serde_bytes.count()) *
+                          static_cast<double>(reads.serde_bytes.count()) *
                           static_cast<double>(kSec.count()) * slow);
-  if (partition_stall > SimTime{0}) {
-    fetch += partition_stall;
+  if (reads.partition_stall > SimTime{0}) {
+    fetch += reads.partition_stall;
     ++metrics_.faults.partition_stalled_fetches;
   }
 
@@ -847,10 +829,11 @@ std::optional<Assignment> SimDriver::place_copy(
 }
 
 bool SimDriver::inputs_exist(StageId s, std::int32_t index) const {
-  for (const TaskInput& in : dag_->task_inputs(s, index)) {
-    if (!master_.exists(in.block)) return false;
-  }
-  return true;
+  bool all = true;
+  dag_->for_each_task_input(s, index, [&](const TaskInput& in) {
+    all = all && master_.exists(in.block);
+  });
+  return all;
 }
 
 void SimDriver::assign_speed_tiers() {
@@ -1065,9 +1048,9 @@ void SimDriver::handle_fault_tick(SimTime now) {
 
 void SimDriver::ensure_inputs_available(StageId s, std::int32_t index,
                                         SimTime now) {
-  for (const TaskInput& in : dag_->task_inputs(s, index)) {
+  dag_->for_each_task_input(s, index, [&](const TaskInput& in) {
     if (!master_.exists(in.block)) recover_block(in.block, now);
-  }
+  });
 }
 
 void SimDriver::recover_block(const BlockId& block, SimTime now) {

@@ -280,6 +280,42 @@ TEST(JobDag, UnknownIdsThrow) {
   EXPECT_THROW((void)dag.task_inputs(StageId(0), 99), InvariantError);
 }
 
+// The reference oracle keeps one record per (block, reader stage); a
+// stage reading one RDD through two edges would consume it twice per
+// launch and drop its references while tasks still read the blocks.
+TEST(JobDagBuilder, RejectsNarrowAndShuffleEdgesToOneRdd) {
+  JobDagBuilder b("twice");
+  const RddId in = b.input_rdd("in", 4, kMiB);
+  EXPECT_THROW(b.add_stage({.name = "s",
+                            .inputs = {{in, DepKind::Narrow},
+                                       {in, DepKind::Shuffle}},
+                            .num_tasks = 4,
+                            .task_cpus = Cpus{1},
+                            .task_duration = kSec}),
+               ConfigError);
+}
+
+TEST(JobDagBuilder, RejectsTwoShuffleEdgesToOneRdd) {
+  JobDagBuilder b("twice");
+  const RddId in = b.input_rdd("in", 4, kMiB);
+  const RddId other = b.input_rdd("other", 2, kMiB);
+  EXPECT_THROW(b.add_stage({.name = "s",
+                            .inputs = {{in, DepKind::Shuffle},
+                                       {other, DepKind::Shuffle},
+                                       {in, DepKind::Shuffle}},
+                            .num_tasks = 4,
+                            .task_cpus = Cpus{1},
+                            .task_duration = kSec}),
+               ConfigError);
+  // One edge per parent is fine.
+  EXPECT_NO_THROW(b.add_stage({.name = "ok",
+                               .inputs = {{in, DepKind::Shuffle},
+                                          {other, DepKind::Shuffle}},
+                               .num_tasks = 4,
+                               .task_cpus = Cpus{1},
+                               .task_duration = kSec}));
+}
+
 TEST(JobDagBuilder, SetCacheableFlags) {
   JobDagBuilder b("flags");
   const RddId in = b.input_rdd("in", 2, kMiB);

@@ -9,6 +9,7 @@
 #include <memory>
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -1055,6 +1056,506 @@ TEST_P(OracleInvariants, RefCountsNeverGoNegativeAndReachZero) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, OracleInvariants,
                          ::testing::Range<std::uint64_t>(200, 210));
+
+// --- shuffle accounting by source against per-block references ---------------
+
+/// A random DAG with every shape the shuffle accounting tells apart:
+/// cacheable and non-cacheable inputs, some with initially cached
+/// partitions; narrow and shuffle edges, several per stage; cacheable and
+/// non-cacheable outputs; and zero-byte outputs, which no task reads.
+JobDag random_read_dag(Rng& rng) {
+  JobDagBuilder b("reads");
+  struct Made {
+    RddId rdd;
+    std::int32_t parts;
+  };
+  std::vector<Made> made;
+  const auto parts = [&] {
+    return static_cast<std::int32_t>(rng.uniform_range(1, 5));
+  };
+  const auto bytes = [&] { return rng.uniform_range(1, 4) * kMiB; };
+  for (int i = 0; i < 3; ++i) {
+    const std::int32_t n = parts();
+    const RddId in =
+        b.input_rdd("in" + std::to_string(i), n, bytes(),
+                    static_cast<std::int32_t>(rng.uniform_range(0, n)));
+    b.set_rdd_cacheable(in, rng.bernoulli(0.5));
+    made.push_back({in, n});
+  }
+  const std::int64_t num_stages = rng.uniform_range(3, 7);
+  for (std::int64_t s = 0; s < num_stages; ++s) {
+    const std::int32_t tasks = parts();
+    std::vector<RddRef> inputs;
+    for (const Made& m : made) {
+      if (!rng.bernoulli(0.4)) continue;
+      const bool narrow = m.parts == tasks && rng.bernoulli(0.5);
+      inputs.push_back({m.rdd, narrow ? DepKind::Narrow : DepKind::Shuffle});
+    }
+    const StageId id = b.add_stage(
+        {.name = "s" + std::to_string(s),
+         .inputs = std::move(inputs),
+         .num_tasks = tasks,
+         .task_cpus = Cpus{1},
+         .task_duration = kSec,
+         .output_bytes_per_partition = rng.bernoulli(0.2) ? Bytes{0} : bytes(),
+         .cache_output = rng.bernoulli(0.5)});
+    made.push_back({b.output_of(id), tasks});
+  }
+  return b.build();
+}
+
+/// A launch's input reads restated block by block from public accessors:
+/// every read of task_inputs costed at its lookup() source, and, whenever
+/// `plan` is set, stalled until the heal of any partition its source
+/// sits across. Throws InvariantError, as lookup() does, for a missing
+/// block.
+InputReads reference_reads(const JobDag& dag, const Topology& topo,
+                           const BlockManagerMaster& master,
+                           const FaultPlan* plan, StageId s,
+                           std::int32_t task, ExecutorId reader,
+                           SimTime now) {
+  InputReads want;
+  const RackId rack = topo.rack_of(topo.node_of(reader));
+  for (const TaskInput& in : dag.task_inputs(s, task)) {
+    const auto how = master.lookup(in.block, reader);
+    want.bytes_by_source[static_cast<std::size_t>(how.source)] += in.bytes;
+    if (!dag.rdd(in.block.rdd).is_input &&
+        how.source != BlockSource::LocalMemory) {
+      want.serde_bytes += in.bytes;
+    }
+    if (plan == nullptr) continue;
+    const NodeId from = is_memory_source(how.source) ? topo.node_of(how.holder)
+                                                     : how.disk_node;
+    const SimTime heal =
+        plan->cross_partition_heal(rack, topo.rack_of(from), now);
+    if (heal > now) {
+      want.partition_stall = std::max(want.partition_stall, heal - now);
+    }
+  }
+  return want;
+}
+
+/// How often each path was compared, so a run shows it reached them all.
+struct ReadCoverage {
+  std::int64_t aggregated = 0;  // shuffle parents read from the counts
+  std::int64_t in_memory = 0;   // non-cacheable shuffle parents in memory
+  std::int64_t stalled = 0;     // reads stalled behind a partition
+  std::int64_t missing = 0;     // reads refused for a missing block
+};
+
+/// Compares read_inputs with the reference for every (stage, task,
+/// executor), with the failure detector off and on.
+void compare_reads(const JobDag& dag, const Topology& topo,
+                   const BlockManagerMaster& master, const FaultPlan& plan,
+                   SimTime now, const char* step, ReadCoverage* seen) {
+  for (const Stage& stage : dag.stages()) {
+    for (std::int32_t t = 0; t < stage.num_tasks; ++t) {
+      const std::vector<TaskInput> inputs = dag.task_inputs(stage.id, t);
+      const bool all_exist =
+          std::all_of(inputs.begin(), inputs.end(), [&](const TaskInput& in) {
+            return master.exists(in.block);
+          });
+      for (const Executor& e : topo.executors()) {
+        const auto where = [&] {
+          return ::testing::Message()
+                 << "after " << step << ": stage " << stage.id << " task "
+                 << t << " on exec " << e.id;
+        };
+        // Reads with a side effect (a cacheable block, or one served from
+        // memory) must reach on_block, in task_inputs order.
+        const auto side_effect = [&](const BlockId& block) {
+          return dag.rdd(block.rdd).cacheable ||
+                 is_memory_source(master.lookup(block, e.id).source);
+        };
+        for (const FaultPlan* p : {static_cast<const FaultPlan*>(nullptr),
+                                   &plan}) {
+          std::vector<BlockId> walked;
+          const auto read = [&] {
+            return read_inputs(dag, topo, master, p, stage.id, t, e.id, now,
+                               [&](const TaskInput& in,
+                                   const BlockManagerMaster::Lookup&) {
+                                 walked.push_back(in.block);
+                               });
+          };
+          if (!all_exist) {
+            EXPECT_THROW((void)read(), InvariantError) << where();
+            ++seen->missing;
+            continue;
+          }
+          const InputReads got = read();
+          const InputReads want =
+              reference_reads(dag, topo, master, p, stage.id, t, e.id, now);
+          for (std::size_t src = 0; src < want.bytes_by_source.size();
+               ++src) {
+            EXPECT_EQ(got.bytes_by_source[src], want.bytes_by_source[src])
+                << where() << ", source "
+                << block_source_name(static_cast<BlockSource>(src));
+          }
+          EXPECT_EQ(got.serde_bytes, want.serde_bytes) << where();
+          EXPECT_EQ(got.partition_stall, want.partition_stall) << where();
+          if (want.partition_stall > SimTime{0}) ++seen->stalled;
+          std::vector<BlockId> must;
+          for (const TaskInput& in : inputs) {
+            if (side_effect(in.block)) must.push_back(in.block);
+          }
+          walked.erase(std::remove_if(walked.begin(), walked.end(),
+                                      [&](const BlockId& block) {
+                                        return !side_effect(block);
+                                      }),
+                       walked.end());
+          EXPECT_EQ(walked, must) << where();
+        }
+        for (const RddRef& ref : stage.inputs) {
+          const Rdd& parent = dag.rdd(ref.rdd);
+          if (!all_exist || ref.kind != DepKind::Shuffle || parent.cacheable ||
+              parent.bytes_per_partition <= Bytes{0}) {
+            continue;
+          }
+          if (master.shuffle_disk_split(ref.rdd, e.id)) {
+            ++seen->aggregated;
+          } else {
+            ++seen->in_memory;
+          }
+        }
+      }
+    }
+  }
+}
+
+/// Drives one master over `dag` through every placement change (produce,
+/// memory admit and evict, suspicion flips with re-replication, crashes
+/// and lineage recomputes), with two rack partitions scheduled, and
+/// compares reads after each step.
+void drive_reads(const JobDag& dag, std::uint64_t seed, ReadCoverage* seen) {
+  Bytes largest{};
+  for (const Rdd& rdd : dag.rdds()) {
+    largest = std::max(largest, rdd.bytes_per_partition);
+  }
+  TopologySpec spec;
+  spec.racks = 2;
+  spec.nodes_per_rack = 2;
+  spec.executors_per_node = 2;
+  spec.cores_per_executor = Cpus{4};
+  // A few blocks per executor: admissions get refused and blocks evicted.
+  spec.cache_bytes_per_executor = 3 * largest;
+  const Topology topo(spec);
+  Rng rng(seed);
+  HdfsSpec hdfs_spec;
+  hdfs_spec.replication = static_cast<std::int32_t>(rng.uniform_range(1, 3));
+  const HdfsPlacement hdfs(dag, topo, hdfs_spec, rng);
+  FaultConfig faults;
+  faults.partitions.push_back(PartitionSpec{3 * kSec, 9 * kSec, 0});
+  faults.partitions.push_back(PartitionSpec{14 * kSec, 30 * kSec, 1});
+  const FaultPlan plan(faults, topo.num_executors(), topo.num_racks(), seed);
+  ReferenceOracle oracle(dag);
+  const CachePolicyKind kinds[] = {CachePolicyKind::Lru, CachePolicyKind::Lrc,
+                                   CachePolicyKind::Mrd, CachePolicyKind::Lrp};
+  const auto policy = make_cache_policy(kinds[seed % 4]);
+  BlockManagerMaster master(topo, dag, hdfs, oracle, *policy);
+
+  SimTime now{};
+  const auto check = [&](const char* step) {
+    compare_reads(dag, topo, master, plan, now, step, seen);
+  };
+  const auto num_execs = static_cast<std::int64_t>(topo.num_executors());
+  std::vector<char> dead(topo.num_executors(), 0);
+  std::int64_t num_dead = 0;
+  const auto live_exec = [&] {
+    for (;;) {
+      const ExecutorId e(
+          static_cast<std::int32_t>(rng.uniform_int(num_execs)));
+      if (dead[static_cast<std::size_t>(e.value())] == 0) return e;
+    }
+  };
+
+  master.seed_initial_cache(now);
+  check("seed_initial_cache");
+  for (const StageId s : dag.topological_order()) {
+    oracle.set_current_stage(s);
+    const Stage& stage = dag.stage(s);
+    for (std::int32_t t = 0; t < stage.num_tasks; ++t) {
+      now += kSec;
+      const ExecutorId e = live_exec();
+      oracle.on_task_launched(s, t);
+      // Memory reads touch; disk reads of cacheable blocks admit.
+      for (const TaskInput& in : dag.task_inputs(s, t)) {
+        if (!master.exists(in.block)) continue;
+        master.on_block_read(in.block, e, master.lookup(in.block, e), now);
+      }
+      check("on_block_read");
+      if (dag.rdd(stage.output).bytes_per_partition > Bytes{0}) {
+        master.on_block_produced(BlockId{stage.output, t}, e, now);
+        check("on_block_produced");
+      }
+      if (rng.bernoulli(0.2)) {
+        const ExecutorId v = live_exec();
+        const auto& entries = master.manager(v).entries();
+        if (!entries.empty()) {
+          const auto i = static_cast<std::size_t>(
+              rng.uniform_int(static_cast<std::int64_t>(entries.size())));
+          EXPECT_TRUE(master.drop_memory_block(entries[i].id, v));
+          check("drop_memory_block");
+        }
+      }
+    }
+    oracle.mark_stage_finished(s);
+    (void)master.proactive_sweep();
+    check("proactive_sweep");
+    if (rng.bernoulli(0.6)) {
+      const ExecutorId x = live_exec();
+      master.set_executor_suspect(x, true);
+      ExecutorId target = live_exec();
+      while (target == x) target = live_exec();
+      (void)master.rereplicate_suspect_blocks(target);
+      check("rereplicate_suspect_blocks");
+      master.set_executor_suspect(x, false);
+      if (num_dead + 2 < num_execs && rng.bernoulli(0.5)) {
+        const auto drop = master.drop_executor(x);
+        dead[static_cast<std::size_t>(x.value())] = 1;
+        ++num_dead;
+        check("drop_executor");
+        // Lineage recovery recomputes some of the lost blocks elsewhere.
+        for (const BlockId& lost : drop.lost) {
+          if (rng.bernoulli(0.5)) {
+            master.on_block_produced(lost, live_exec(), now);
+          }
+        }
+        check("lineage recompute");
+      }
+    }
+  }
+}
+
+class ShuffleReadReference : public ::testing::TestWithParam<std::uint64_t> {
+};
+
+TEST_P(ShuffleReadReference, ReadsMatchPerBlockWalk) {
+  ReadCoverage seen;
+  for (std::uint64_t k = 0; k < 4; ++k) {
+    Rng rng(GetParam() * 4 + k);
+    const JobDag dag = random_read_dag(rng);
+    drive_reads(dag, GetParam() * 4 + k, &seen);
+  }
+  EXPECT_GT(seen.aggregated, 0);
+  EXPECT_GT(seen.in_memory, 0);
+  EXPECT_GT(seen.stalled, 0);
+  EXPECT_GT(seen.missing, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ShuffleReadReference,
+                         ::testing::Range<std::uint64_t>(300, 308));
+
+/// The reference oracle restated per block, as it was before shuffle
+/// edges shared a counter: one count per (block, reader stage), moved
+/// block by block through task_inputs, with peer groups recomputed from
+/// a residency set on every query.
+class PerBlockRefs {
+ public:
+  explicit PerBlockRefs(const JobDag& dag)
+      : dag_(&dag),
+        finished_(dag.num_stages(), 0),
+        active_(dag.num_stages(), 1),
+        pv_(initial_priority_values(dag)),
+        counts_(static_cast<std::size_t>(dag.num_blocks())),
+        resident_(static_cast<std::size_t>(dag.num_blocks()), 0) {
+    for (const Stage& s : dag.stages()) {
+      for (const RddRef& ref : s.inputs) {
+        if (ref.kind == DepKind::Narrow) {
+          for (std::int32_t t = 0; t < s.num_tasks; ++t) {
+            at(BlockId{ref.rdd, t}).push_back({s.id, 1});
+          }
+        } else {
+          for (std::int32_t p = 0; p < dag.rdd(ref.rdd).num_partitions; ++p) {
+            at(BlockId{ref.rdd, p}).push_back({s.id, s.num_tasks});
+          }
+        }
+      }
+    }
+  }
+
+  void launch(StageId s, std::int32_t task) {
+    for (const TaskInput& in : dag_->task_inputs(s, task)) {
+      for (auto& [stage, count] : at(in.block)) {
+        if (stage == s) {
+          if (count > 0) --count;
+          break;
+        }
+      }
+    }
+  }
+  void restore(StageId s, std::int32_t task) {
+    finished_[static_cast<std::size_t>(s.value())] = 0;
+    for (const TaskInput& in : dag_->task_inputs(s, task)) {
+      for (auto& [stage, count] : at(in.block)) {
+        if (stage == s) {
+          ++count;
+          break;
+        }
+      }
+    }
+  }
+  void finish(StageId s) { finished_[static_cast<std::size_t>(s.value())] = 1; }
+  void set_active(StageId s, bool on) {
+    active_[static_cast<std::size_t>(s.value())] = on ? 1 : 0;
+  }
+  void set_current(StageId s) { current_ = s.value(); }
+  void set_pv(std::vector<CpuWork> pv) { pv_ = std::move(pv); }
+  void set_resident(const BlockId& block, bool on) {
+    resident_[ord(block)] = on ? 1 : 0;
+  }
+
+  [[nodiscard]] std::vector<StageId> readers(const BlockId& block) const {
+    std::vector<StageId> out;
+    for (const auto& [stage, count] : at(block)) {
+      const auto i = static_cast<std::size_t>(stage.value());
+      if (count > 0 && finished_[i] == 0 && active_[i] != 0) {
+        out.push_back(stage);
+      }
+    }
+    return out;
+  }
+  [[nodiscard]] int distance(const BlockId& block) const {
+    int best = ReferenceOracle::kNeverUsed;
+    for (const StageId s : readers(block)) {
+      best = std::min(best, std::max(0, s.value() - current_));
+    }
+    return best;
+  }
+  [[nodiscard]] CpuWork priority(const BlockId& block) const {
+    CpuWork best{};
+    for (const StageId s : readers(block)) {
+      best = std::max(best, pv_[static_cast<std::size_t>(s.value())]);
+    }
+    return best;
+  }
+  /// Live readers that read `block` through a narrow edge and whose
+  /// task's other cacheable narrow inputs are all resident.
+  [[nodiscard]] int effective(const BlockId& block) const {
+    if (!dag_->rdd(block.rdd).cacheable) return 0;
+    int count = 0;
+    for (const StageId s : readers(block)) {
+      const auto& inputs = dag_->stage(s).inputs;
+      const bool narrow_reader =
+          std::any_of(inputs.begin(), inputs.end(), [&](const RddRef& ref) {
+            return ref.rdd == block.rdd && ref.kind == DepKind::Narrow;
+          });
+      if (!narrow_reader) continue;
+      const bool complete =
+          std::all_of(inputs.begin(), inputs.end(), [&](const RddRef& ref) {
+            const BlockId peer{ref.rdd, block.partition};
+            return ref.kind != DepKind::Narrow ||
+                   !dag_->rdd(ref.rdd).cacheable || peer == block ||
+                   resident_[ord(peer)] != 0;
+          });
+      if (complete) ++count;
+    }
+    return count;
+  }
+
+ private:
+  [[nodiscard]] std::size_t ord(const BlockId& block) const {
+    return static_cast<std::size_t>(dag_->block_ord(block));
+  }
+  std::vector<std::pair<StageId, std::int32_t>>& at(const BlockId& block) {
+    return counts_[ord(block)];
+  }
+  [[nodiscard]] const std::vector<std::pair<StageId, std::int32_t>>& at(
+      const BlockId& block) const {
+    return counts_[ord(block)];
+  }
+
+  const JobDag* dag_;
+  std::vector<char> finished_;
+  std::vector<char> active_;
+  std::vector<CpuWork> pv_;
+  std::int32_t current_ = 0;
+  std::vector<std::vector<std::pair<StageId, std::int32_t>>> counts_;
+  std::vector<char> resident_;
+};
+
+class SharedShuffleCounters
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(SharedShuffleCounters, MatchPerBlockReference) {
+  Rng rng(GetParam());
+  const JobDag dag = random_read_dag(rng);
+  ReferenceOracle oracle(dag);
+  oracle.enable_peer_tracking();
+  PerBlockRefs want(dag);
+  const auto num_stages = static_cast<std::int64_t>(dag.num_stages());
+  const auto random_stage = [&] {
+    return StageId(static_cast<std::int32_t>(rng.uniform_int(num_stages)));
+  };
+  const auto random_task = [&](StageId s) {
+    return static_cast<std::int32_t>(rng.uniform_int(dag.stage(s).num_tasks));
+  };
+  std::vector<BlockId> cacheable;
+  for (const Rdd& rdd : dag.rdds()) {
+    if (!rdd.cacheable) continue;
+    for (std::int32_t p = 0; p < rdd.num_partitions; ++p) {
+      cacheable.push_back(BlockId{rdd.id, p});
+    }
+  }
+  std::int64_t live_shuffle_refs = 0;
+  for (int step = 0; step < 400; ++step) {
+    const StageId s = random_stage();
+    const std::int64_t op = rng.uniform_int(8);
+    if (op <= 2) {
+      const std::int32_t t = random_task(s);
+      oracle.on_task_launched(s, t);
+      want.launch(s, t);
+    } else if (op == 3) {
+      const std::int32_t t = random_task(s);
+      oracle.restore_task_refs(s, t);
+      want.restore(s, t);
+    } else if (op == 4) {
+      oracle.mark_stage_finished(s);
+      want.finish(s);
+    } else if (op == 5) {
+      const bool on = rng.bernoulli(0.7);
+      oracle.set_stage_active(s, on);
+      want.set_active(s, on);
+    } else if (op == 6) {
+      oracle.set_current_stage(s);
+      want.set_current(s);
+      std::vector<CpuWork> pv(dag.num_stages());
+      for (CpuWork& v : pv) v = CpuWork{rng.uniform_range(0, 5)};
+      oracle.set_priority_values(pv);
+      want.set_pv(std::move(pv));
+    } else if (!cacheable.empty()) {
+      const BlockId block = cacheable[static_cast<std::size_t>(
+          rng.uniform_int(static_cast<std::int64_t>(cacheable.size())))];
+      const bool on = rng.bernoulli(0.5);
+      oracle.set_memory_resident(block, on);
+      want.set_resident(block, on);
+    }
+    for (const Rdd& rdd : dag.rdds()) {
+      for (std::int32_t p = 0; p < rdd.num_partitions; ++p) {
+        const BlockId block{rdd.id, p};
+        const auto readers = want.readers(block);
+        ASSERT_EQ(oracle.live_readers(block), readers)
+            << "step " << step << ", block " << block;
+        EXPECT_EQ(oracle.remaining_ref_count(block),
+                  static_cast<int>(readers.size()));
+        EXPECT_EQ(oracle.stage_distance(block), want.distance(block));
+        EXPECT_EQ(oracle.reference_priority(block), want.priority(block));
+        EXPECT_EQ(oracle.effective_ref_count(block), want.effective(block))
+            << "step " << step << ", block " << block;
+        for (const StageId r : readers) {
+          for (const RddRef& ref : dag.stage(r).inputs) {
+            if (ref.rdd == rdd.id && ref.kind == DepKind::Shuffle) {
+              ++live_shuffle_refs;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(live_shuffle_refs, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SharedShuffleCounters,
+                         ::testing::Range<std::uint64_t>(320, 332));
 
 }  // namespace
 }  // namespace dagon
