@@ -11,9 +11,14 @@
 //      are fingerprint-checked bit-identical whenever both runs happen.
 //  (2) Scheduler hot path — simulation events/sec of the serial sweep,
 //      in total and per workload, the numbers that track the hot path
-//      across revisions. CI floors two --quick entries with
-//      bench/perf_floor.json: KMeans, and ConnectedComponent, whose
-//      reduce tasks shuffle-read every map output.
+//      across revisions. Besides the Fig. 8 workloads the grid runs one
+//      serving stream (4 LogisticRegression jobs under the graybox
+//      preset, LERC, fair share): the only entry with many stages ready
+//      at once, where Dagon's stage ordering and the pv pushes carry
+//      weight, and the only one with suspicion and the serving layer.
+//      CI floors three --quick entries with
+//      bench/perf_floor.json: KMeans, ConnectedComponent, whose reduce
+//      tasks shuffle-read every map output, and the serving stream.
 #include <algorithm>
 #include <fstream>
 #include <thread>
@@ -31,9 +36,36 @@ struct WorkloadGrid {
   std::vector<SweepRun> runs;
 };
 
+/// The serving entry's name in events_per_sec_by_workload.
+constexpr const char* kServeEntry = "GrayboxServing";
+
+/// One 4-job stream as tests/test_layer_pins.cpp pins it (graybox preset,
+/// LERC, Dagon, fair share), at the bench scale.
+SweepRun serving_run() {
+  std::vector<Workload> jobs;
+  for (int i = 0; i < 4; ++i) {
+    Workload w =
+        make_workload(WorkloadId::LogisticRegression, bench::bench_scale());
+    w.name += "#" + std::to_string(i);
+    jobs.push_back(std::move(w));
+  }
+  SimConfig config = graybox_testbed();
+  config.cache = CachePolicyKind::Lerc;
+  config.scheduler = SchedulerKind::Dagon;
+  config.delay = DelayKind::SensitivityAware;
+  ArrivalSpec arrivals;
+  arrivals.seed = config.seed;
+  ServingOptions options;
+  options.fair_share = true;
+  ServingWorkload sw = make_serving(jobs, arrivals, options);
+  config.serving = sw.serving;
+  return {kServeEntry, std::move(sw.batch.combined), config};
+}
+
 std::vector<WorkloadGrid> make_grids() {
-  // 4 workloads × the Fig. 8 systems = 16 independent runs (--quick: the
-  // first two, 8 runs — the CI smoke grid the perf floors are keyed to).
+  // 4 workloads × the Fig. 8 systems = 16 independent runs, plus the
+  // serving stream (--quick: the first two workloads and the stream, 9
+  // runs — the CI smoke grid the perf floors are keyed to).
   std::vector<WorkloadId> ids = {
       WorkloadId::KMeans, WorkloadId::ConnectedComponent,
       WorkloadId::PageRank, WorkloadId::LogisticRegression};
@@ -49,6 +81,9 @@ std::vector<WorkloadGrid> make_grids() {
                         apply_combo(bench::bench_testbed(), combo)});
     }
   }
+  WorkloadGrid& serve = grids.emplace_back();
+  serve.workload = kServeEntry;
+  serve.runs.push_back(serving_run());
   return grids;
 }
 

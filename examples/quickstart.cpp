@@ -19,13 +19,13 @@ int main() {
   std::cout << "Fig. 1 example DAG: " << workload.dag.num_stages()
             << " stages, " << workload.dag.total_tasks() << " tasks, depth "
             << workload.dag.depth() << "\n";
-  const auto pv = initial_priority_values(workload.dag);
+  const PriorityValues pv(workload.dag);
   for (const Stage& s : workload.dag.stages()) {
     std::cout << "  " << s.name << ": " << s.num_tasks << " tasks x <"
               << s.task_cpus << " vCPU, "
               << format_duration(s.task_duration) << ">, w="
-              << s.workload() / kSec << ", pv="
-              << pv[static_cast<std::size_t>(s.id.value())] / kSec << "\n";
+              << pv.work(s.id) / kSec << ", pv=" << pv.value(s.id) / kSec
+              << "\n";
   }
 
   // One 16-vCPU executor, as in the paper's walk-through.

@@ -3,14 +3,14 @@
 #include <algorithm>
 
 #include "common/error.hpp"
-#include "dag/dag_analysis.hpp"
+#include "dag/priority_values.hpp"
 
 namespace dagon {
 
 ReferenceOracle::ReferenceOracle(const JobDag& dag) : dag_(&dag) {
   finished_.assign(dag.num_stages(), false);
   active_.assign(dag.num_stages(), 1);
-  pv_ = initial_priority_values(dag);
+  pv_ = PriorityValues(dag).values();
   refs_.resize(static_cast<std::size_t>(dag.num_blocks()));
   shuffle_first_.reserve(dag.num_stages() + 1);
   // Stages are visited in ascending id order, so every block's list is
@@ -90,10 +90,10 @@ void ReferenceOracle::restore_task_refs(StageId stage, std::int32_t task) {
                       [](std::int32_t& count) { ++count; });
 }
 
-void ReferenceOracle::set_priority_values(std::vector<CpuWork> pv) {
-  DAGON_CHECK(pv.size() == finished_.size());
+void ReferenceOracle::set_priority_values(const std::vector<CpuWork>& pv) {
+  DAGON_CHECK(pv.size() == pv_.size());
   ++epoch_;
-  pv_ = std::move(pv);
+  std::copy(pv.begin(), pv.end(), pv_.begin());
 }
 
 void ReferenceOracle::set_current_stage(StageId stage) {

@@ -66,11 +66,13 @@ class ReferenceOracle {
   /// un-finished) so cache policies keep the recomputation's inputs warm.
   void restore_task_refs(StageId stage, std::int32_t task);
 
-  /// Current priority values pv_i (Eq. 6), indexed by stage id. The
-  /// Dagon scheduler pushes these after every assignment; other
-  /// schedulers push the statically derived values so LRP stays
-  /// well-defined under any scheduler (used in ablations).
-  void set_priority_values(std::vector<CpuWork> pv);
+  /// Current priority values pv_i (Eq. 6), indexed by stage id, copied
+  /// into the oracle's snapshot in place. The driver pushes its
+  /// JobState's values after every event that moved them, under any
+  /// scheduler, so LRP stays well-defined in ablations. Until the first
+  /// push the snapshot holds the ground-truth initial values
+  /// (PriorityValues(dag)).
+  void set_priority_values(const std::vector<CpuWork>& pv);
 
   /// The stage whose tasks are currently being launched, as a position
   /// in FIFO (stage-id) order; MRD measures distances from here.

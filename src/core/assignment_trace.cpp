@@ -1,26 +1,14 @@
 #include "core/assignment_trace.hpp"
 
-#include <algorithm>
+#include <memory>
 #include <queue>
 
+#include "cluster/topology.hpp"
 #include "common/error.hpp"
-#include "dag/dag_analysis.hpp"
 #include "dag/profile.hpp"
+#include "sched/job_state.hpp"
 
 namespace dagon {
-
-namespace {
-
-struct StageState {
-  std::int32_t next_task = 0;
-  std::int32_t finished = 0;
-  std::int32_t running = 0;
-  CpuWork remaining{};
-  bool ready = false;
-  bool finished_all = false;
-};
-
-}  // namespace
 
 AssignmentTrace trace_priority_assignment(const JobDag& dag, Cpus capacity,
                                           SchedulerKind kind) {
@@ -31,84 +19,23 @@ AssignmentTrace trace_priority_assignment(const JobDag& dag, Cpus capacity,
     }
   }
 
-  const std::vector<SimTime> cp = critical_path_lengths(dag);
-  std::vector<StageState> st(dag.num_stages());
-  std::vector<CpuWork> per_task(dag.num_stages());
-  for (const Stage& s : dag.stages()) {
-    auto& state = st[static_cast<std::size_t>(s.id.value())];
-    state.remaining = s.workload();
-    state.ready = s.parents.empty();
-    per_task[static_cast<std::size_t>(s.id.value())] =
-        s.num_tasks > 0 ? s.workload() / s.num_tasks : CpuWork{0};
-  }
-
-  const auto pv_of = [&](StageId id) {
-    CpuWork v = st[static_cast<std::size_t>(id.value())].remaining;
-    for (const StageId succ : dag.successor_set(id)) {
-      v += st[static_cast<std::size_t>(succ.value())].remaining;
-    }
-    return v;
-  };
-
-  // Offer order per policy (mirrors the StageSelector implementations,
-  // over this tracer's lightweight state).
-  const auto order = [&]() {
-    std::vector<StageId> ready;
-    for (const Stage& s : dag.stages()) {
-      const auto& state = st[static_cast<std::size_t>(s.id.value())];
-      if (state.ready && !state.finished_all &&
-          state.next_task < s.num_tasks) {
-        ready.push_back(s.id);
-      }
-    }
-    switch (kind) {
-      case SchedulerKind::Fifo:
-      case SchedulerKind::Fair:
-        std::sort(ready.begin(), ready.end());
-        break;
-      case SchedulerKind::CriticalPath:
-        std::stable_sort(ready.begin(), ready.end(),
-                         [&](StageId a, StageId b) {
-                           const SimTime ca =
-                               cp[static_cast<std::size_t>(a.value())];
-                           const SimTime cb =
-                               cp[static_cast<std::size_t>(b.value())];
-                           if (ca != cb) return ca > cb;
-                           return a < b;
-                         });
-        break;
-      case SchedulerKind::Graphene: {
-        std::stable_sort(ready.begin(), ready.end(),
-                         [&](StageId a, StageId b) {
-                           const auto score = [&](StageId id) {
-                             const Stage& s = dag.stage(id);
-                             return static_cast<double>(s.task_duration.count()) *
-                                    s.task_cpus.count();
-                           };
-                           const double sa = score(a);
-                           const double sb = score(b);
-                           if (sa != sb) return sa > sb;
-                           return a < b;
-                         });
-        break;
-      }
-      case SchedulerKind::Dagon:
-        std::stable_sort(ready.begin(), ready.end(),
-                         [&](StageId a, StageId b) {
-                           const CpuWork pa = pv_of(a);
-                           const CpuWork pb = pv_of(b);
-                           if (pa != pb) return pa > pb;
-                           return a < b;
-                         });
-        break;
-    }
-    return ready;
-  };
+  // One executor holds the whole pool; the simulator's own JobState and
+  // stage selector decide every assignment.
+  TopologySpec spec;
+  spec.nodes_per_rack = 1;
+  spec.cores_per_executor = capacity;
+  const Topology topo(spec);
+  const JobProfile profile = exact_profile(dag);
+  JobState state(dag, topo, profile);
+  const std::unique_ptr<StageSelector> selector =
+      make_stage_selector(kind, dag, profile, capacity);
+  const ExecutorId pool(0);
 
   struct Finish {
     SimTime time;
     StageId stage;
     std::int32_t task;
+    SimTime start;
     bool operator>(const Finish& o) const {
       if (time != o.time) return time > o.time;
       if (stage != o.stage) return stage > o.stage;
@@ -118,7 +45,6 @@ AssignmentTrace trace_priority_assignment(const JobDag& dag, Cpus capacity,
   std::priority_queue<Finish, std::vector<Finish>, std::greater<>> finishes;
 
   AssignmentTrace trace;
-  Cpus free = capacity;
   SimTime now{};
   int step = 0;
 
@@ -126,18 +52,13 @@ AssignmentTrace trace_priority_assignment(const JobDag& dag, Cpus capacity,
     bool progress = true;
     while (progress) {
       progress = false;
-      for (const StageId sid : order()) {
+      for (const StageId sid : selector->order(state)) {
         const Stage& s = dag.stage(sid);
-        if (s.task_cpus > free) continue;
-        auto& state = st[static_cast<std::size_t>(sid.value())];
-        const std::int32_t task = state.next_task++;
-        ++state.running;
-        state.remaining = std::max(
-            CpuWork{0}, state.remaining -
-                   per_task[static_cast<std::size_t>(sid.value())]);
-        free -= s.task_cpus;
+        if (s.task_cpus > state.executor(pool).free_cores()) continue;
+        const std::int32_t task = *state.stage(sid).pending.begin();
+        state.mark_launched(sid, task, pool, now);
         const SimTime end = now + s.task_compute_time(task);
-        finishes.push(Finish{end, sid, task});
+        finishes.push(Finish{end, sid, task, now});
         trace.placements.push_back(
             PlacedTask{sid, task, now, end, s.task_cpus});
 
@@ -145,14 +66,9 @@ AssignmentTrace trace_priority_assignment(const JobDag& dag, Cpus capacity,
         rec.step = ++step;
         rec.time = now;
         rec.chosen = sid;
-        rec.free_after = free;
-        rec.w_after.reserve(dag.num_stages());
-        rec.pv_after.reserve(dag.num_stages());
-        for (const Stage& each : dag.stages()) {
-          rec.w_after.push_back(
-              st[static_cast<std::size_t>(each.id.value())].remaining);
-          rec.pv_after.push_back(pv_of(each.id));
-        }
+        rec.free_after = state.executor(pool).free_cores();
+        rec.w_after = state.priority_values().workloads();
+        rec.pv_after = state.priority_values().values();
         trace.steps.push_back(std::move(rec));
         progress = true;
         break;
@@ -169,31 +85,16 @@ AssignmentTrace trace_priority_assignment(const JobDag& dag, Cpus capacity,
     while (!finishes.empty() && finishes.top().time == now) {
       const Finish f = finishes.top();
       finishes.pop();
-      const Stage& s = dag.stage(f.stage);
-      auto& state = st[static_cast<std::size_t>(f.stage.value())];
-      --state.running;
-      free += s.task_cpus;
-      if (++state.finished == s.num_tasks) {
-        state.finished_all = true;
-        // Promote children whose parents are all done.
-        for (const Stage& child : dag.stages()) {
-          auto& cs = st[static_cast<std::size_t>(child.id.value())];
-          if (cs.ready || cs.finished_all) continue;
-          const bool ok = std::all_of(
-              child.parents.begin(), child.parents.end(), [&](StageId p) {
-                return st[static_cast<std::size_t>(p.value())].finished_all;
-              });
-          if (ok) cs.ready = true;
-        }
+      if (state.mark_finished(f.stage, f.task, pool, Locality::Any, f.start,
+                              now)) {
+        state.refresh_ready(now);
       }
     }
     try_assign();
   }
 
-  for (const StageState& state : st) {
-    DAGON_CHECK_MSG(state.finished_all,
-                    "tracer finished with incomplete stages");
-  }
+  DAGON_CHECK_MSG(state.all_finished(),
+                  "tracer finished with incomplete stages");
   trace.makespan = now;
 
   // Fragmentation: capacity·makespan − total useful work actually run.

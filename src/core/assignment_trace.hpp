@@ -1,6 +1,7 @@
-// Resource-only schedule tracer: runs a stage-selection policy against a
-// single pool of vCPUs with exact task durations, ignoring locality and
-// caching. This isolates the paper's Algorithm 1 so that:
+// Resource-only schedule tracer: runs one of the simulator's stage
+// selectors (make_stage_selector) over a JobState with a single executor
+// that holds the whole pool of vCPUs, with exact task durations and no
+// locality or caching. This isolates the paper's Algorithm 1 so that:
 //   * Table III's step-by-step (w_i, pv_i, free CPUs) bookkeeping can be
 //     printed verbatim, and
 //   * Fig. 2's FIFO vs DAG-aware schedule diagrams can be regenerated.
@@ -45,7 +46,8 @@ struct AssignmentTrace {
 };
 
 /// Runs `kind` (Fifo / Fair / CriticalPath / Graphene / Dagon) over the
-/// DAG on one `capacity`-vCPU executor pool.
+/// DAG on one `capacity`-vCPU executor pool. w_i and pv_i are the
+/// JobState's, from the DAG's exact profile.
 [[nodiscard]] AssignmentTrace trace_priority_assignment(const JobDag& dag,
                                                         Cpus capacity,
                                                         SchedulerKind kind);

@@ -1,60 +1,17 @@
 #include "core/cache_trace.hpp"
 
 #include <algorithm>
-#include <map>
 #include <set>
 
 #include "cache/block_manager.hpp"
 #include "common/error.hpp"
-#include "dag/profile.hpp"
+#include "dag/priority_values.hpp"
 
 namespace dagon {
 
 std::string block_label(const JobDag& dag, const BlockId& b) {
   return dag.rdd(b.rdd).name + std::to_string(b.partition + 1);
 }
-
-namespace {
-
-/// Running pv bookkeeping (Eq. 6) over exact per-stage workloads.
-class PvTracker {
- public:
-  explicit PvTracker(const JobDag& dag) : dag_(&dag) {
-    remaining_.reserve(dag.num_stages());
-    per_task_.reserve(dag.num_stages());
-    for (const Stage& s : dag.stages()) {
-      remaining_.push_back(s.workload());
-      per_task_.push_back(s.num_tasks > 0 ? s.workload() / s.num_tasks
-                                          : CpuWork{0});
-    }
-  }
-
-  void on_launch(StageId s) {
-    auto& rem = remaining_[static_cast<std::size_t>(s.value())];
-    rem = std::max(
-        CpuWork{0},
-        rem - per_task_[static_cast<std::size_t>(s.value())]);
-  }
-
-  [[nodiscard]] std::vector<CpuWork> values() const {
-    std::vector<CpuWork> pv(remaining_.size());
-    for (const Stage& s : dag_->stages()) {
-      CpuWork v = remaining_[static_cast<std::size_t>(s.id.value())];
-      for (const StageId succ : dag_->successor_set(s.id)) {
-        v += remaining_[static_cast<std::size_t>(succ.value())];
-      }
-      pv[static_cast<std::size_t>(s.id.value())] = v;
-    }
-    return pv;
-  }
-
- private:
-  const JobDag* dag_;
-  std::vector<CpuWork> remaining_;
-  std::vector<CpuWork> per_task_;
-};
-
-}  // namespace
 
 CacheTraceResult run_cache_trace(const JobDag& dag,
                                  const std::vector<TraceLaunch>& schedule,
@@ -74,7 +31,7 @@ CacheTraceResult run_cache_trace(const JobDag& dag,
 
   const auto policy = make_cache_policy(policy_kind);
   ReferenceOracle oracle(dag);
-  PvTracker pv(dag);
+  PriorityValues pv(dag);
   BlockManager bm(ExecutorId(0), capacity_blocks * block_bytes, *policy);
 
   // Blocks that exist (readable / prefetchable): inputs + written output.
@@ -98,7 +55,6 @@ CacheTraceResult run_cache_trace(const JobDag& dag,
     std::int32_t task;
   };
   std::vector<Running> running;
-  std::vector<std::int32_t> launched(dag.num_stages(), 0);
   std::vector<std::int32_t> done(dag.num_stages(), 0);
 
   CacheTraceResult result;
@@ -202,7 +158,6 @@ CacheTraceResult run_cache_trace(const JobDag& dag,
     for (const std::int32_t t : step.tasks) {
       oracle.on_task_launched(step.stage, t);
       pv.on_launch(step.stage);
-      ++launched[static_cast<std::size_t>(step.stage.value())];
       running.push_back(
           Running{now + s.task_compute_time(t), step.stage, t});
     }

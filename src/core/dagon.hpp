@@ -26,6 +26,7 @@
 
 #include "dag/dag_analysis.hpp"
 #include "dag/job_dag.hpp"
+#include "dag/priority_values.hpp"
 #include "dag/profile.hpp"
 
 #include "cluster/cost_model.hpp"

@@ -31,18 +31,6 @@ SimTime critical_path(const JobDag& dag) {
   return best;
 }
 
-std::vector<CpuWork> initial_priority_values(const JobDag& dag) {
-  std::vector<CpuWork> pv(dag.num_stages());
-  for (const Stage& s : dag.stages()) {
-    CpuWork v = s.workload();
-    for (const StageId succ : dag.successor_set(s.id)) {
-      v += dag.stage(succ).workload();
-    }
-    pv[static_cast<std::size_t>(s.id.value())] = v;
-  }
-  return pv;
-}
-
 SimTime makespan_lower_bound(const JobDag& dag, Cpus capacity) {
   const SimTime cp = critical_path(dag);
   const CpuWork work = dag.total_workload();

@@ -1,6 +1,6 @@
 // Static DAG analyses shared by schedulers and tests: critical-path
-// lengths, the paper's initial priority values pv_i (Eq. 6), and simple
-// shape statistics.
+// lengths and simple shape statistics. The paper's priority values
+// pv_i (Eq. 6) live in dag/priority_values.hpp.
 #pragma once
 
 #include <vector>
@@ -16,10 +16,6 @@ namespace dagon {
 
 /// Length of the whole DAG's critical path (max over roots).
 [[nodiscard]] SimTime critical_path(const JobDag& dag);
-
-/// Initial priority value pv_i = w_i + sum of successor workloads
-/// (Eq. 6) for every stage, before any task has been assigned.
-[[nodiscard]] std::vector<CpuWork> initial_priority_values(const JobDag& dag);
 
 /// Lower bound on makespan given `capacity` total vCPUs: max(critical
 /// path, total workload / capacity). Benches report schedules relative

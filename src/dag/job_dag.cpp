@@ -61,6 +61,12 @@ const std::vector<StageId>& JobDag::successor_set(StageId id) const {
   return successor_sets_[static_cast<std::size_t>(id.value())];
 }
 
+const std::vector<StageId>& JobDag::ancestor_set(StageId id) const {
+  DAGON_CHECK(id.valid() &&
+              static_cast<std::size_t>(id.value()) < ancestor_sets_.size());
+  return ancestor_sets_[static_cast<std::size_t>(id.value())];
+}
+
 std::vector<TaskInput> JobDag::task_inputs(StageId id,
                                            std::int32_t task) const {
   std::vector<TaskInput> inputs;
@@ -293,6 +299,15 @@ JobDag JobDagBuilder::build() {
     auto& out = dag_.successor_sets_[static_cast<std::size_t>(s.id.value())];
     out.reserve(acc.size());
     for (const std::int32_t v : sorted_keys(acc)) out.push_back(StageId(v));
+  }
+  // Their inverse; visiting stages by ascending id keeps each list sorted.
+  dag_.ancestor_sets_.assign(dag_.stages_.size(), {});
+  for (const Stage& s : dag_.stages_) {
+    for (const StageId d :
+         dag_.successor_sets_[static_cast<std::size_t>(s.id.value())]) {
+      dag_.ancestor_sets_[static_cast<std::size_t>(d.value())].push_back(
+          s.id);
+    }
   }
 
   // Dense block ordinals: prefix sums of partition counts in rdd-id

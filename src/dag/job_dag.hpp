@@ -46,6 +46,11 @@ class JobDag {
   /// All transitive descendants of `id` (the paper's SuccessorSet_i).
   [[nodiscard]] const std::vector<StageId>& successor_set(StageId id) const;
 
+  /// All transitive ancestors of `id`, ascending: the stages whose
+  /// SuccessorSet contains `id`, so the stages whose pv_i (Eq. 6) counts
+  /// `id`'s workload.
+  [[nodiscard]] const std::vector<StageId>& ancestor_set(StageId id) const;
+
   /// Input reads of task `task` of stage `id`: full parent blocks for
   /// narrow deps, per-task shuffle slices for wide deps.
   [[nodiscard]] std::vector<TaskInput> task_inputs(StageId id,
@@ -111,6 +116,8 @@ class JobDag {
   std::vector<StageId> topo_order_;
   /// successor_sets_[i] = transitive descendants of stage i.
   std::vector<std::vector<StageId>> successor_sets_;
+  /// ancestor_sets_[i] = transitive ancestors of stage i (the inverse).
+  std::vector<std::vector<StageId>> ancestor_sets_;
   /// block_offset_[r] = ordinal of rdd r's partition 0; one trailing
   /// entry holds num_blocks(). Built by JobDagBuilder::build().
   std::vector<std::int64_t> block_offset_;

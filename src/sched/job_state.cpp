@@ -8,9 +8,7 @@ namespace dagon {
 
 JobState::JobState(const JobDag& dag, const Topology& topo,
                    const JobProfile& profile)
-    : dag_(&dag), topo_(&topo), profile_(&profile) {
-  DAGON_CHECK_MSG(profile.stages.size() == dag.num_stages(),
-                  "profile does not match DAG");
+    : dag_(&dag), topo_(&topo), profile_(&profile), pv_(dag, profile) {
   stages_.reserve(dag.num_stages());
   for (const Stage& s : dag.stages()) {
     StageRuntime rt;
@@ -23,7 +21,6 @@ JobState::JobState(const JobDag& dag, const Topology& topo,
         break;
       }
     }
-    rt.remaining_work = profile.workload(s.id, s.num_tasks);
     rt.task_status.assign(static_cast<std::size_t>(s.num_tasks),
                           TaskStatus::Pending);
     rt.ready = s.parents.empty();
@@ -109,23 +106,6 @@ void JobState::set_health(ExecutorId exec, ExecutorHealth to,
   fsm::transition(e.health_, to, exec.value(), violations);
 }
 
-CpuWork JobState::priority_value(StageId id) const {
-  CpuWork pv = stage(id).remaining_work;
-  for (const StageId succ : dag_->successor_set(id)) {
-    pv += stage(succ).remaining_work;
-  }
-  return pv;
-}
-
-std::vector<CpuWork> JobState::priority_values() const {
-  std::vector<CpuWork> pv;
-  pv.reserve(stages_.size());
-  for (const StageRuntime& s : stages_) {
-    pv.push_back(priority_value(s.id));
-  }
-  return pv;
-}
-
 void JobState::set_status(StageRuntime& rt, std::int32_t index,
                           TaskStatus to) {
   DAGON_CHECK(index >= 0 && index < rt.num_tasks);
@@ -148,10 +128,7 @@ void JobState::mark_launched(StageId s, std::int32_t index, ExecutorId exec,
   ++rt.epoch;
   if (rt.first_launch < SimTime{0}) rt.first_launch = now;
 
-  const StageEstimate& est = profile_->stage(s);
-  rt.remaining_work -= est.task_cpus * est.task_duration;
-  if (rt.remaining_work < CpuWork{0}) rt.remaining_work = CpuWork{0};
-  ++pv_epoch_;
+  pv_.on_launch(s);
 
   ExecutorRuntime& e = executor(exec);
   const Cpus demand = dag_->stage(s).task_cpus;
@@ -184,8 +161,7 @@ bool JobState::mark_finished(StageId s, std::int32_t index, ExecutorId exec,
   if (rt.finished_tasks == rt.num_tasks) {
     rt.finished = true;
     rt.finish_time = now;
-    rt.remaining_work = CpuWork{0};
-    ++pv_epoch_;
+    pv_.on_finish(s);
     return true;
   }
   return false;
@@ -232,9 +208,7 @@ void JobState::readd_pending(StageId s, std::int32_t index) {
   set_status(rt, index, TaskStatus::Pending);
   rt.pending.push_back(index);
   ++rt.epoch;
-  const StageEstimate& est = profile_->stage(s);
-  rt.remaining_work += est.task_cpus * est.task_duration;
-  ++pv_epoch_;
+  pv_.on_requeue(s);
 }
 
 void JobState::reopen_task(StageId s, std::int32_t index) {
@@ -252,9 +226,7 @@ void JobState::reopen_task(StageId s, std::int32_t index) {
   }
   rt.pending.push_back(index);
   ++rt.epoch;
-  const StageEstimate& est = profile_->stage(s);
-  rt.remaining_work += est.task_cpus * est.task_duration;
-  ++pv_epoch_;
+  pv_.on_requeue(s);
 }
 
 std::vector<StageId> JobState::demote_unready() {

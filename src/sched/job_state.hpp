@@ -16,6 +16,7 @@
 #include "common/fsm.hpp"
 #include "common/sim_time.hpp"
 #include "dag/job_dag.hpp"
+#include "dag/priority_values.hpp"
 #include "dag/profile.hpp"
 #include "sched/pending_list.hpp"
 
@@ -59,10 +60,6 @@ struct StageRuntime {
   /// readd_pending, reopen_task). Not by changes to `running` alone: the
   /// driver also moves it for speculative copies.
   std::uint64_t epoch = 0;
-
-  /// Estimated unprocessed workload (the paper's w_i): decremented by
-  /// d_i · est_duration as each task is *assigned* (Table III).
-  CpuWork remaining_work{};
 
   SimTime ready_time{-1};
   SimTime first_launch{-1};
@@ -194,7 +191,8 @@ class JobState {
     return executors_;
   }
 
-  /// Ready, unfinished stages that still have pending tasks.
+  /// Ready, unfinished stages that still have pending tasks, in
+  /// ascending id order.
   [[nodiscard]] std::vector<StageId> schedulable_stages() const;
 
   /// True when every stage has finished.
@@ -248,19 +246,12 @@ class JobState {
     return scan_free(shift, n, fn) || scan_free(0, shift, fn);
   }
 
-  // -- the paper's pv_i (Eq. 6) -------------------------------------------
+  // -- the paper's w_i and pv_i (Eq. 6) ------------------------------------
 
-  /// pv_i = remaining_work_i + Σ_{j ∈ SuccessorSet_i} remaining_work_j.
-  [[nodiscard]] CpuWork priority_value(StageId id) const;
-
-  /// pv for every stage (pushed into the ReferenceOracle for LRP).
-  [[nodiscard]] std::vector<CpuWork> priority_values() const;
-
-  /// Monotonic counter bumped whenever any stage's remaining_work — and
-  /// hence any pv_i — may have changed. Lets the driver skip re-pushing
-  /// identical priority values into the oracle on events that launched
-  /// or finished nothing.
-  [[nodiscard]] std::uint64_t pv_epoch() const { return pv_epoch_; }
+  /// w_i and pv_i from the profile's estimates. mark_launched takes one
+  /// task's share as the task is *assigned* (Table III); readd_pending
+  /// and reopen_task give it back; a stage's last mark_finished zeroes it.
+  [[nodiscard]] const PriorityValues& priority_values() const { return pv_; }
 
   // -- state transitions (called by the simulation driver) ----------------
 
@@ -294,13 +285,13 @@ class JobState {
 
   /// Re-queues a *failed* task for retry: transitions it
   /// Failed → Pending, re-inserts it into the pending queue and restores
-  /// its share of remaining_work.
+  /// its share of w_i.
   void readd_pending(StageId s, std::int32_t index);
 
   /// Lineage recovery: re-opens a *finished* task of a (possibly
   /// finished) stage so it can be recomputed after its output block was
   /// lost. Un-finishes the stage, pushes `index` back onto pending and
-  /// restores its share of remaining_work.
+  /// restores its share of w_i.
   void reopen_task(StageId s, std::int32_t index);
 
   /// Re-checks readiness after lineage recovery re-opened stages: any
@@ -361,7 +352,7 @@ class JobState {
   std::int64_t num_free_ = 0;
   /// Σ tasks_launched over all executors (the rotation phase).
   std::int64_t total_launched_ = 0;
-  std::uint64_t pv_epoch_ = 1;
+  PriorityValues pv_;
   std::uint64_t capacity_epoch_ = 0;
   fsm::Violations* fsm_violations_ = nullptr;
 };

@@ -9,9 +9,7 @@
 namespace dagon {
 
 std::vector<StageId> FifoSelector::order(const JobState& state) const {
-  std::vector<StageId> stages = state.schedulable_stages();
-  std::sort(stages.begin(), stages.end());
-  return stages;
+  return state.schedulable_stages();  // already in ascending id order
 }
 
 std::vector<StageId> FairSelector::order(const JobState& state) const {
@@ -95,12 +93,13 @@ std::vector<StageId> GrapheneSelector::order(const JobState& state) const {
 
 std::vector<StageId> DagonSelector::order(const JobState& state) const {
   std::vector<StageId> stages = state.schedulable_stages();
+  const PriorityValues& pv = state.priority_values();
   // Algorithm 1 line 5: descending pv_i; ties to the earlier stage
   // (reproduces Table III step 2 where pv1 == pv2 == 52 picks stage 1).
   std::stable_sort(stages.begin(), stages.end(),
                    [&](StageId a, StageId b) {
-                     const CpuWork pa = state.priority_value(a);
-                     const CpuWork pb = state.priority_value(b);
+                     const CpuWork pa = pv.value(a);
+                     const CpuWork pb = pv.value(b);
                      if (pa != pb) return pa > pb;
                      return a < b;
                    });

@@ -171,6 +171,7 @@ void SimDriver::validate() const {
     throw ConfigError("speculation multiplier must be finite and positive");
   }
   double tier_total = 0.0;
+  double tier_mult = 1.0;  // executors outside every tier run at 1.0
   // dagonlint: allow(float-accum): config validation over a fixed,
   // spec-ordered tier list; the sum never feeds back into the sim.
   for (const SimConfig::ExecTier& tier : config_.tail.tiers) {
@@ -183,6 +184,7 @@ void SimDriver::validate() const {
                         "' mult must be finite and positive");
     }
     tier_total += tier.fraction;
+    tier_mult = std::max(tier_mult, tier.mult);
   }
   if (tier_total > 1.0 + 1e-9) {
     throw ConfigError("exec tier fractions must sum to <= 1");
@@ -229,6 +231,48 @@ void SimDriver::validate() const {
       throw ConfigError("reserved_fraction must be in [0, 1)");
     }
     prev = phase.at;
+  }
+  // launch_task scales a task's compute time by duration noise, its
+  // executor's tier and degrade slowdowns, and a heavy-tail draw. The
+  // longest task at the worst product must fit a quarter of SimTime's
+  // range, leaving the rest for `now + fetch`. Each factor is finite.
+  double degrade = 1.0;
+  for (const DegradeSpec& d : config_.faults.degrades) {
+    double overlap = 1.0;  // windows on one executor (-1: any) multiply
+    // dagonlint: allow(float-accum): config validation over the fixed,
+    // spec-ordered degrade list; the product never feeds the sim.
+    for (const DegradeSpec& o : config_.faults.degrades) {
+      const bool same = o.executor == d.executor || o.executor < 0 ||
+                        d.executor < 0;
+      if (same && o.at <= d.at && d.at < o.until) overlap *= o.slowdown;
+    }
+    degrade = std::max(degrade, overlap);
+  }
+  const std::pair<const char*, double> factors[] = {
+      // Rng::normal's Box–Muller draws |z| <= sqrt(-2 ln 2^-53) < 8.58.
+      {"duration_noise", 1.0 + 8.58 * config_.duration_noise},
+      {"exec tier mult", tier_mult},
+      {"faults.heavy_tail_mult", config_.faults.heavy_tail_prob > 0.0
+                                     ? config_.faults.heavy_tail_mult
+                                     : 1.0},
+      {"faults.degrades slowdown", degrade},
+  };
+  SimTime longest{};
+  for (const Stage& s : dag_->stages()) {
+    for (std::int32_t t = 0; t < s.num_tasks; ++t) {
+      longest = std::max(longest, s.task_compute_time(t));
+    }
+  }
+  double scaled = static_cast<double>(longest.count());
+  // dagonlint: allow(float-accum): four config factors in a fixed order;
+  // the product only decides whether to reject the config.
+  for (const auto& [knob, factor] : factors) {
+    scaled *= factor;
+    if (scaled > static_cast<double>(kTimeInfinity.count()) / 4) {
+      throw ConfigError(std::string(knob) + " too large: it scales the " +
+                        format_duration(longest) +
+                        " longest task out of SimTime's range");
+    }
   }
 }
 
@@ -1345,12 +1389,12 @@ void SimDriver::verify_quiescent() const {
 }
 
 void SimDriver::push_priority_update() {
-  // pv values derive solely from per-stage remaining_work; JobState
-  // bumps pv_epoch whenever any of those change, so pushes on events
-  // that launched or finished nothing are skipped entirely.
-  if (state_.pv_epoch() == pushed_pv_epoch_) return;
-  pushed_pv_epoch_ = state_.pv_epoch();
-  oracle_.set_priority_values(state_.priority_values());
+  // The epoch moves with every update to w_i, so pushes on events that
+  // launched or finished nothing are skipped entirely.
+  const PriorityValues& pv = state_.priority_values();
+  if (pv.epoch() == pushed_pv_epoch_) return;
+  pushed_pv_epoch_ = pv.epoch();
+  oracle_.set_priority_values(pv.values());
 }
 
 void SimDriver::sample_pending(SimTime now) {

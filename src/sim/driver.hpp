@@ -222,7 +222,7 @@ class SimDriver {
   std::vector<std::int32_t> job_order_;
 
   RunMetrics metrics_;
-  /// Last JobState::pv_epoch pushed into the oracle (0 = never).
+  /// Last PriorityValues::epoch pushed into the oracle (0 = never).
   std::uint64_t pushed_pv_epoch_ = 0;
   bool ran_ = false;
 };

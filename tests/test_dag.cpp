@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "dag/dag_analysis.hpp"
+#include "dag/priority_values.hpp"
 #include "dag/job_dag.hpp"
 #include "dag/profile.hpp"
 #include "workloads/example_dag.hpp"
@@ -221,7 +222,7 @@ TEST(DagAnalysis, ExampleDagWorkloadsMatchPaper) {
 TEST(DagAnalysis, ExampleDagPriorityValuesMatchTable3) {
   // pv1 = 52, pv2 = 64 vCPU-minutes (Table III, initial row).
   const Workload w = make_example_dag();
-  const auto pv = initial_priority_values(w.dag);
+  const std::vector<CpuWork> pv = PriorityValues(w.dag).values();
   EXPECT_EQ(pv[0], CpuWork{52 * kMinute.count()});
   EXPECT_EQ(pv[1], CpuWork{64 * kMinute.count()});
   EXPECT_EQ(pv[2], CpuWork{28 * kMinute.count()});

@@ -61,12 +61,12 @@ void drain_and_compare(EventQueue& q, ReferenceQueue& ref) {
   Event want;
   std::size_t i = 0;
   while (ref.pop_into(want)) {
-    ASSERT_TRUE(q.pop_into(got)) << "bucketed queue ran dry at pop " << i;
+    ASSERT_TRUE(q.pop_into(got)) << "EventQueue ran dry at pop " << i;
     ASSERT_EQ(got.time, want.time) << "time mismatch at pop " << i;
     ASSERT_EQ(got.aux, want.aux) << "order mismatch at pop " << i;
     ++i;
   }
-  EXPECT_FALSE(q.pop_into(got)) << "bucketed queue has extra events";
+  EXPECT_FALSE(q.pop_into(got)) << "EventQueue has extra events";
   EXPECT_TRUE(q.empty());
 }
 

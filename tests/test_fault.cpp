@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <string>
 
 #include "core/presets.hpp"
 #include "core/runner.hpp"
@@ -161,6 +162,68 @@ TEST(SimConfigValidation, RejectsOutOfRangeKnobs) {
   config = fault_test_cluster();
   config.faults.task_fail_prob = kNaN;
   expect_rejected(config);
+}
+
+TEST(SimConfigValidation, RejectsFactorsThatOverflowSimTime) {
+  // The Fig. 1 DAG's longest task runs 4 minutes (2.4e8 us); SimTime
+  // holds 9.2e18 us. A knob that scales that task past a quarter of the
+  // range must be a ConfigError naming the knob.
+  const Workload w = make_example_dag();
+  const JobProfile profile = exact_profile(w.dag);
+  auto expect_named = [&](const SimConfig& config, const char* knob) {
+    try {
+      SimDriver driver(w.dag, profile, config);
+      ADD_FAILURE() << "accepted; expected a ConfigError naming " << knob;
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find(knob), std::string::npos)
+          << e.what();
+    }
+  };
+  SimConfig config = fault_test_cluster();
+  config.duration_noise = 1e13;
+  expect_named(config, "duration_noise");
+  config = fault_test_cluster();
+  config.tail.tiers = {{"slow", 0.5, 1e15}};
+  expect_named(config, "exec tier mult");
+  config = fault_test_cluster();
+  config.faults.heavy_tail_prob = 0.5;
+  config.faults.heavy_tail_mult = 1e15;
+  expect_named(config, "heavy_tail_mult");
+  // Two windows that overlap on one executor multiply.
+  config = fault_test_cluster();
+  config.faults.degrades = {{kSec, 60 * kSec, 0, 1e6},
+                            {2 * kSec, 60 * kSec, 0, 1e6}};
+  expect_named(config, "degrades slowdown");
+  // The factors compose: neither alone leaves the range, and the error
+  // names the one that takes the product out of it.
+  config = fault_test_cluster();
+  config.duration_noise = 1e5;
+  config.tail.tiers = {{"slow", 0.5, 1e5}};
+  expect_named(config, "exec tier mult");
+
+  // Large factors that keep every duration in range are still valid, and
+  // so are the same degrade windows when they do not overlap in time or
+  // name two executors.
+  const auto expect_accepted = [&](const SimConfig& c) {
+    EXPECT_NO_THROW(SimDriver(w.dag, profile, c));
+  };
+  config = fault_test_cluster();
+  config.duration_noise = 1e6;
+  expect_accepted(config);
+  config = fault_test_cluster();
+  config.tail.tiers = {{"slow", 0.5, 1e9}};
+  config.faults.heavy_tail_prob = 0.0;  // a multiplier that never fires
+  config.faults.heavy_tail_mult = 1e15;
+  expect_accepted(config);
+  config = fault_test_cluster();
+  config.faults.degrades = {{kSec, 2 * kSec, 0, 1e6},
+                            {2 * kSec, 60 * kSec, 0, 1e6}};
+  expect_accepted(config);
+  config.faults.degrades = {{kSec, 60 * kSec, 0, 1e6},
+                            {2 * kSec, 60 * kSec, 1, 1e6}};
+  expect_accepted(config);
+  config.faults.degrades[1].executor = -1;  // may land on executor 0
+  expect_named(config, "degrades slowdown");
 }
 
 // --- recovery correctness ----------------------------------------------------

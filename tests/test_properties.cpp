@@ -1355,7 +1355,7 @@ class PerBlockRefs {
       : dag_(&dag),
         finished_(dag.num_stages(), 0),
         active_(dag.num_stages(), 1),
-        pv_(initial_priority_values(dag)),
+        pv_(PriorityValues(dag).values()),
         counts_(static_cast<std::size_t>(dag.num_blocks())),
         resident_(static_cast<std::size_t>(dag.num_blocks()), 0) {
     for (const Stage& s : dag.stages()) {
@@ -1556,6 +1556,183 @@ TEST_P(SharedShuffleCounters, MatchPerBlockReference) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SharedShuffleCounters,
                          ::testing::Range<std::uint64_t>(320, 332));
+
+// --- Eq. (6) bookkeeping -----------------------------------------------------
+
+/// pv_s summed afresh over SuccessorSet_s (Eq. 6), from the w
+/// column the test keeps itself.
+CpuWork brute_pv(const JobDag& dag, const std::vector<CpuWork>& w,
+                 StageId s) {
+  CpuWork pv = w[static_cast<std::size_t>(s.value())];
+  for (const StageId d : dag.successor_set(s)) {
+    pv += w[static_cast<std::size_t>(d.value())];
+  }
+  return pv;
+}
+
+/// Table III's w rule restated: a launch takes one task's share, floored
+/// at zero; a retry or reopen gives it back; a finish zeroes it.
+struct WorkModel {
+  std::vector<CpuWork> w;
+  std::vector<CpuWork> share;
+  std::int64_t floored = 0;
+
+  void launch(StageId s) {
+    CpuWork& v = w[static_cast<std::size_t>(s.value())];
+    const CpuWork t = share[static_cast<std::size_t>(s.value())];
+    if (v < t) ++floored;
+    v = v < t ? CpuWork{0} : v - t;
+  }
+  void requeue(StageId s) {
+    w[static_cast<std::size_t>(s.value())] +=
+        share[static_cast<std::size_t>(s.value())];
+  }
+  void finish(StageId s) { w[static_cast<std::size_t>(s.value())] = {}; }
+};
+
+void expect_matches(const JobDag& dag, const PriorityValues& pv,
+                    const WorkModel& want, int step) {
+  for (const Stage& s : dag.stages()) {
+    ASSERT_EQ(pv.work(s.id), want.w[static_cast<std::size_t>(s.id.value())])
+        << "step " << step << ", stage " << s.id;
+    ASSERT_EQ(pv.value(s.id), brute_pv(dag, want.w, s.id))
+        << "step " << step << ", stage " << s.id;
+    ASSERT_EQ(pv.values()[static_cast<std::size_t>(s.id.value())],
+              pv.value(s.id));
+  }
+}
+
+class PriorityValuesDifferential
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(PriorityValuesDifferential, MatchBruteForceEq6) {
+  Rng rng(GetParam());
+  RandomDagParams params;
+  params.max_stages = 16;
+  params.max_tasks = 6;
+  const Workload wl = make_random_dag(rng, params);
+  const JobDag& dag = wl.dag;
+  // Coarse estimates off the ground truth: the two constructors disagree,
+  // and equal pv values, which the selector breaks by stage id, occur.
+  JobProfile profile = exact_profile(dag);
+  for (StageEstimate& e : profile.stages) {
+    e.task_duration = kSec * rng.uniform_range(1, 2);
+  }
+  TopologySpec spec;
+  spec.nodes_per_rack = 1;
+  spec.cores_per_executor = Cpus{4096};
+  const Topology topo(spec);
+  JobState state(dag, topo, profile);
+  const ExecutorId exec(0);
+  const DagonSelector dagon;
+
+  WorkModel want;
+  for (const Stage& s : dag.stages()) {
+    want.w.push_back(profile.workload(s.id, s.num_tasks));
+    want.share.push_back(profile.workload(s.id, 1));
+  }
+  // The ground-truth values, driven with no lifecycle at all: launches
+  // past a stage's task count take w below zero and must floor.
+  PriorityValues truth(dag);
+  WorkModel truth_want;
+  for (const Stage& s : dag.stages()) {
+    truth_want.w.push_back(s.workload());
+    truth_want.share.push_back(s.workload() / s.num_tasks);
+  }
+  ASSERT_NO_FATAL_FAILURE(
+      expect_matches(dag, state.priority_values(), want, -1));
+  ASSERT_NO_FATAL_FAILURE(expect_matches(dag, truth, truth_want, -1));
+
+  // Tasks of `s` in `status`, in index order.
+  const auto tasks_in = [&](StageId s, TaskStatus status) {
+    std::vector<std::int32_t> out;
+    const StageRuntime& rt = state.stage(s);
+    for (std::int32_t t = 0; t < rt.num_tasks; ++t) {
+      if (rt.status_of(t) == status) out.push_back(t);
+    }
+    return out;
+  };
+  const auto pick = [&](const std::vector<std::int32_t>& from) {
+    return from[static_cast<std::size_t>(
+        rng.uniform_int(static_cast<std::int64_t>(from.size())))];
+  };
+  const auto num_stages = static_cast<std::int64_t>(dag.num_stages());
+  SimTime now{};
+  std::int64_t orders_checked = 0;
+  std::int64_t steps_by_kind[4] = {};
+  for (int step = 0; step < 600; ++step) {
+    now += kSec;
+    const StageId s(static_cast<std::int32_t>(rng.uniform_int(num_stages)));
+    const StageRuntime& rt = state.stage(s);
+    const std::int64_t op = rng.uniform_int(8);
+    if (op <= 2 && rt.ready && rt.has_pending()) {
+      state.mark_launched(s, pick(tasks_in(s, TaskStatus::Pending)), exec,
+                          now);
+      want.launch(s);
+      ++steps_by_kind[0];
+    } else if (op <= 4 && rt.running > 0) {
+      const std::int32_t t = pick(tasks_in(s, TaskStatus::Running));
+      if (state.mark_finished(s, t, exec, Locality::Any, now - kSec, now)) {
+        want.finish(s);
+        state.refresh_ready(now);
+      }
+      ++steps_by_kind[1];
+    } else if (op == 5 && rt.running > 0) {
+      // A failed attempt's teardown, as the driver's, then the retry.
+      const std::int32_t t = pick(tasks_in(s, TaskStatus::Running));
+      state.mark_failed(s, t);
+      --state.stage(s).running;
+      state.add_free_cores(exec, dag.stage(s).task_cpus);
+      state.readd_pending(s, t);
+      state.demote_unready();
+      want.requeue(s);
+      ++steps_by_kind[2];
+    } else if (op == 6 && rt.finished_tasks > 0) {
+      state.reopen_task(s, pick(tasks_in(s, TaskStatus::Finished)));
+      state.demote_unready();
+      want.requeue(s);
+      ++steps_by_kind[3];
+    } else {
+      // No lifecycle for the bare values: any of the three updates.
+      const std::int64_t bare = rng.uniform_int(6);
+      if (bare <= 3) {
+        truth.on_launch(s);
+        truth_want.launch(s);
+      } else if (bare == 4) {
+        truth.on_requeue(s);
+        truth_want.requeue(s);
+      } else {
+        truth.on_finish(s);
+        truth_want.finish(s);
+      }
+    }
+    ASSERT_NO_FATAL_FAILURE(
+        expect_matches(dag, state.priority_values(), want, step));
+    ASSERT_NO_FATAL_FAILURE(expect_matches(dag, truth, truth_want, step));
+
+    std::vector<StageId> brute;
+    for (const Stage& each : dag.stages()) {
+      const StageRuntime& r = state.stage(each.id);
+      if (r.ready && !r.finished && r.has_pending()) brute.push_back(each.id);
+    }
+    std::sort(brute.begin(), brute.end(), [&](StageId a, StageId b) {
+      const CpuWork pa = brute_pv(dag, want.w, a);
+      const CpuWork pb = brute_pv(dag, want.w, b);
+      return pa != pb ? pa > pb : a < b;
+    });
+    ASSERT_EQ(dagon.order(state), brute) << "step " << step;
+    if (brute.size() >= 2) ++orders_checked;
+  }
+  for (const std::int64_t n : steps_by_kind) EXPECT_GT(n, 0);
+  EXPECT_GT(truth_want.floored, 0);
+  // Two roots are two schedulable stages at t=0, so an order to compare.
+  if (dag.root_stages().size() >= 2) {
+    EXPECT_GT(orders_checked, 0);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PriorityValuesDifferential,
+                         ::testing::Range<std::uint64_t>(340, 352));
 
 }  // namespace
 }  // namespace dagon

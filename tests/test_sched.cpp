@@ -70,16 +70,18 @@ TEST_F(SchedFixture, InitialJobState) {
 }
 
 TEST_F(SchedFixture, PriorityValuesMatchTable3Initial) {
-  EXPECT_EQ(state_.priority_value(StageId(0)), CpuWork{52 * kMinute.count()});
-  EXPECT_EQ(state_.priority_value(StageId(1)), CpuWork{64 * kMinute.count()});
+  const PriorityValues& pv = state_.priority_values();
+  EXPECT_EQ(pv.value(StageId(0)), CpuWork{52 * kMinute.count()});
+  EXPECT_EQ(pv.value(StageId(1)), CpuWork{64 * kMinute.count()});
 }
 
 TEST_F(SchedFixture, MarkLaunchedUpdatesWorkAndCores) {
   state_.mark_launched(StageId(1), 0, ExecutorId(0), SimTime{0});
   // Table III step 1: w2 36 -> 24, pv2 64 -> 52, free 16 -> 10.
-  EXPECT_EQ(state_.stage(StageId(1)).remaining_work,
+  EXPECT_EQ(state_.priority_values().work(StageId(1)),
             CpuWork{24 * kMinute.count()});
-  EXPECT_EQ(state_.priority_value(StageId(1)), CpuWork{52 * kMinute.count()});
+  EXPECT_EQ(state_.priority_values().value(StageId(1)),
+            CpuWork{52 * kMinute.count()});
   EXPECT_EQ(state_.executor(ExecutorId(0)).free_cores(), Cpus{10});
   EXPECT_EQ(state_.stage(StageId(1)).running, 1);
   EXPECT_EQ(state_.stage(StageId(1)).pending.size(), 2u);
@@ -137,12 +139,12 @@ TEST_F(SchedFixture, ObservedDurations) {
 
 TEST_F(SchedFixture, ReaddPendingRestoresWork) {
   state_.mark_launched(StageId(0), 0, ExecutorId(0), SimTime{0});
-  const CpuWork after_launch = state_.stage(StageId(0)).remaining_work;
+  const CpuWork after_launch = state_.priority_values().work(StageId(0));
   // The legal route back to pending is through a failure (the retry
   // path the driver takes); readd_pending enforces Failed -> Pending.
   state_.mark_failed(StageId(0), 0);
   state_.readd_pending(StageId(0), 0);
-  EXPECT_EQ(state_.stage(StageId(0)).remaining_work,
+  EXPECT_EQ(state_.priority_values().work(StageId(0)),
             after_launch + CpuWork{16 * kMinute.count()});
   EXPECT_EQ(state_.stage(StageId(0)).pending.size(), 3u);
 }

@@ -4,7 +4,7 @@
 
 #include <set>
 
-#include "dag/dag_analysis.hpp"
+#include "dag/priority_values.hpp"
 #include "workloads/example_dag.hpp"
 #include "workloads/graph_workloads.hpp"
 #include "workloads/ml_workloads.hpp"
@@ -136,7 +136,7 @@ TEST(GraphWorkloads, ScatterOutranksGather) {
   // though the gather has the smaller stage id — the inversion that
   // separates LRP from MRD (Fig. 11).
   const Workload w = make_connected_component(32);
-  const auto pv = initial_priority_values(w.dag);
+  const std::vector<CpuWork> pv = PriorityValues(w.dag).values();
   const Stage& gather1 = w.dag.stage(StageId(2));
   const Stage& scatter1 = w.dag.stage(StageId(3));
   ASSERT_EQ(gather1.name, "gather1");
