@@ -15,14 +15,14 @@
 //
 // The fan stage carries the task count. It is a pure-shuffle consumer,
 // so every decision exercises the NO_PREF fast path plus the free-slot
-// executor index — the hot path this PR rebuilt — rather than the
-// locality memo (whose per-stage table is capped; see
-// LocalityCache::kMaxMemoSlots). Keeping the shuffle *parent* at 32
-// partitions matters: prep's output is cacheable, so each fan task
-// reads it block by block, one BlockManagerMaster::lookup per parent
-// partition (only non-cacheable shuffle parents are read from per-source
-// counts in O(1), DESIGN.md §11), and a wide parent would turn input
-// assembly itself into the bottleneck being measured.
+// executor index rather than the pending-task index of narrow stages
+// (PendingTaskIndex, which only prep's 32 tasks use). Keeping the
+// shuffle *parent* at 32 partitions matters: prep's output is
+// cacheable, so each fan task reads it block by block, one
+// BlockManagerMaster::lookup per parent partition (only non-cacheable
+// shuffle parents are read from per-source counts in O(1), DESIGN.md
+// §11), and a wide parent would turn input assembly itself into the
+// bottleneck being measured.
 //
 // Each point runs in a forked child process and pipes its result back,
 // so every "peak RSS" is that point's own high-water mark. (ru_maxrss

@@ -227,7 +227,7 @@ class BlockManagerMaster {
   // its memory copies grant locality: a memory copy admitted or evicted,
   // a durable disk copy written or destroyed, and on a suspicion flip
   // every block in that executor's memory store. Consumers caching
-  // placement-derived answers (LocalityCache, the delay policies'
+  // placement-derived answers (PendingTaskIndex, the delay policies'
   // refusal records) keep a cursor into it. Positions count every entry
   // ever appended. The master does not know its readers, so it bounds
   // the journal instead of truncating behind them: an append to a full

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <span>
 
 #include "common/error.hpp"
 #include "common/log.hpp"
@@ -11,12 +12,18 @@ namespace dagon {
 namespace {
 
 /// Position of `l` in `levels`; levels.size()-1 (worst) if absent.
-std::size_t level_index(const std::vector<Locality>& levels, Locality l) {
+std::size_t level_index(std::span<const Locality> levels, Locality l) {
   for (std::size_t i = 0; i < levels.size(); ++i) {
     if (levels[i] == l) return i;
   }
   return levels.empty() ? 0 : levels.size() - 1;
 }
+
+#ifndef NDEBUG
+std::ostream& operator<<(std::ostream& os, const std::optional<TaskPick>& p) {
+  return p ? os << *p : os << "no task";
+}
+#endif
 
 }  // namespace
 
@@ -46,9 +53,16 @@ Locality DelayPolicy::allowed_locality(JobState& state,
                                        const BlockManagerMaster& master,
                                        StageId s, SimTime now) const {
   StageRuntime& rt = state.stage(s);
-  const std::vector<Locality> levels =
-      cache_.levels(state.dag(), master, state.topology(), rt);
-  DAGON_CHECK(!levels.empty());
+  const std::span<const Locality> levels = index_.levels(state, master, s);
+#ifndef NDEBUG
+  const std::vector<Locality> want =
+      valid_locality_levels(state.dag(), master, state.topology(), rt);
+  DAGON_CHECK_MSG(std::equal(levels.begin(), levels.end(), want.begin(),
+                             want.end()),
+                  "pending-task index of stage "
+                      << s << " gives a " << levels.size()
+                      << "-rung ladder, the scan " << want.size());
+#endif
   // Valid levels can change between calls (cache fills up, tasks drain);
   // clamp the stored ladder position.
   rt.locality_index = std::min(rt.locality_index, levels.size() - 1);
@@ -67,53 +81,44 @@ Locality DelayPolicy::allowed_locality(JobState& state,
 void DelayPolicy::on_launch(JobState& state, const BlockManagerMaster& master,
                             StageId s, Locality l, SimTime now) const {
   StageRuntime& rt = state.stage(s);
-  const std::vector<Locality> levels =
-      cache_.levels(state.dag(), master, state.topology(), rt);
-  if (levels.empty()) return;
-  rt.locality_index = std::min(level_index(levels, l), levels.size() - 1);
+  const std::span<const Locality> levels = index_.levels(state, master, s);
+  rt.locality_index = level_index(levels, l);
   rt.locality_timer = now;
 }
 
 std::optional<Assignment> DelayPolicy::best_task_on(
     const JobState& state, const BlockManagerMaster& master, StageId s,
-    ExecutorId exec) const {
-  const Cpus demand = state.dag().stage(s).task_cpus;
-  if (state.executor(exec).free_cores() < demand) return std::nullopt;
-  const StageRuntime& rt = state.stage(s);
-  // Pure-shuffle stage: with no narrow input, task_locality_on answers
-  // NoPref for every task, so a full scan would keep the first pending
-  // index (no later NoPref beats it). Answer in O(1).
-  if (!rt.has_narrow) {
-    if (rt.pending.empty()) return std::nullopt;
-    return Assignment{rt.pending.front(), exec, Locality::NoPref};
-  }
-  std::optional<Assignment> best;
-  for (const std::int32_t index : rt.pending) {
-    const Locality l =
-        cache_.locality(state.dag(), master, state.topology(), s, index, exec);
-    if (!best || static_cast<int>(l) < static_cast<int>(best->locality)) {
-      best = Assignment{index, exec, l};
-      if (l == Locality::Process) break;  // cannot do better
-    }
-  }
-  return best;
+    const ExecutorRuntime& exec, Cpus demand) const {
+  if (exec.free_cores() < demand) return std::nullopt;
+  const std::optional<TaskPick> pick = index_.best(state, master, s, exec.id);
+#ifndef NDEBUG
+  const std::optional<TaskPick> want = best_task_by_scan(
+      state.dag(), master, state.topology(), state.stage(s), exec.id);
+  DAGON_CHECK_MSG(pick == want, "pending-task index of stage "
+                                    << s << " gives exec " << exec.id << " "
+                                    << pick << ", the scan " << want);
+#endif
+  if (!pick) return std::nullopt;
+  return Assignment{pick->task_index, exec.id, pick->locality};
 }
 
 std::optional<Assignment> NativeDelayPolicy::scan(
     JobState& state, const BlockManagerMaster& master, StageId s,
     SimTime now) const {
   const Locality allowed = allowed_locality(state, master, s, now);
+  const Cpus demand = state.dag().stage(s).task_cpus;
   std::optional<Assignment> chosen;
   // Rotation-ordered walk over executors that have a free core, straight
   // off JobState's free-slot index. A core-less executor can never fit
   // the stage's demand (task_cpus >= 1 by construction), so skipping it
   // cannot change which launch the historical full scan would find.
-  state.for_each_free_executor([&](ExecutorId exec) {
+  state.for_each_free_executor([&](ExecutorId id) {
     // Suspect/blacklisted executors take no new work; they also grant no
     // Process preference (task_locality filters their memory copies), so
     // the locality ladder never waits for them.
-    if (!state.executor(exec).schedulable(now)) return false;
-    const auto best = best_task_on(state, master, s, exec);
+    const ExecutorRuntime& exec = state.executor(id);
+    if (!exec.schedulable(now)) return false;
+    const auto best = best_task_on(state, master, s, exec, demand);
     if (best && at_least(best->locality, allowed)) {
       chosen = best;
       return true;
@@ -136,10 +141,12 @@ std::optional<Assignment> SensitivityAwareDelayPolicy::scan(
   // The estimate depends only on the stage and the level, and nothing
   // in this call changes either: ask once per level.
   std::array<std::optional<SimTime>, 5> est_by_level;
+  const Cpus demand = state.dag().stage(s).task_cpus;
   std::optional<Assignment> chosen;
-  state.for_each_free_executor([&](ExecutorId exec) {
-    if (!state.executor(exec).schedulable(now)) return false;
-    const auto best = best_task_on(state, master, s, exec);
+  state.for_each_free_executor([&](ExecutorId id) {
+    const ExecutorRuntime& exec = state.executor(id);
+    if (!exec.schedulable(now)) return false;
+    const auto best = best_task_on(state, master, s, exec, demand);
     if (!best) return false;
     if (at_least(best->locality, allowed)) {
       chosen = best;
@@ -151,7 +158,7 @@ std::optional<Assignment> SensitivityAwareDelayPolicy::scan(
     if (est < ect) {
       DAGON_TRACE("algorithm2 accepts stage "
                   << s << " task " << best->task_index << " @"
-                  << locality_name(best->locality) << " on exec " << exec
+                  << locality_name(best->locality) << " on exec " << id
                   << " (est " << format_duration(est) << " < ect "
                   << format_duration(ect) << ")");
       chosen = best;
@@ -159,7 +166,7 @@ std::optional<Assignment> SensitivityAwareDelayPolicy::scan(
     }
     DAGON_TRACE("algorithm2 refuses stage "
                 << s << " @" << locality_name(best->locality) << " on exec "
-                << exec << " (est " << format_duration(est) << " >= ect "
+                << id << " (est " << format_duration(est) << " >= ect "
                 << format_duration(ect) << ")");
     // Locality-sensitive stage: skip this executor, try the next one
     // (Algorithm 2 line 9).

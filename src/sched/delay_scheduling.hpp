@@ -70,16 +70,18 @@ class DelayPolicy {
                                           StageId s, SimTime now) const;
 
   /// Best-locality pending task of `s` on `exec`, or nullopt when the
-  /// executor cannot fit the stage's demand.
+  /// executor cannot fit `demand` (the stage's task_cpus). Without NDEBUG
+  /// it also walks the pending tasks (best_task_by_scan) and throws
+  /// InvariantError if the index disagrees.
   [[nodiscard]] std::optional<Assignment> best_task_on(
       const JobState& state, const BlockManagerMaster& master, StageId s,
-      ExecutorId exec) const;
+      const ExecutorRuntime& exec, Cpus demand) const;
 
   LocalityWaits waits_;
   const CostModel* cost_;
-  /// Pure memo of placement-derived answers (see LocalityCache); safe to
-  /// mutate from const find() — it never changes observable results.
-  mutable LocalityCache cache_;
+  /// Placement-derived answers (see PendingTaskIndex); safe to mutate
+  /// from const find() — it never changes observable results.
+  mutable PendingTaskIndex index_;
 
  private:
   /// What a refusal read (see find); one per stage, `now` = -1 until the
@@ -92,7 +94,7 @@ class DelayPolicy {
     std::int32_t running = 0;
     bool operator==(const Refusal&) const = default;
   };
-  /// Indexed by stage id; like cache_, a memo that never changes results.
+  /// Indexed by stage id; like index_, never changes results.
   mutable std::vector<Refusal> refusals_;
 };
 

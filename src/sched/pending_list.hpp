@@ -7,12 +7,18 @@
 // vector discipline would produce: erase preserves the relative order
 // of the survivors and push_back appends, so swapping the
 // representation changes no scheduling decision.
+//
+// Each index also carries its pending position: assign_all gives index i
+// position i, and every push_back the next unused one. Positions only
+// grow, so among pending indices ascending position is iteration order.
+// The delay policies' pending-task index keys its entries on it.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
+#include <limits>
 #include <vector>
 
 #include "common/error.hpp"
@@ -63,14 +69,17 @@ class PendingList {
     const auto un = static_cast<std::size_t>(n);
     next_.resize(un);
     prev_.resize(un);
+    pos_.resize(un);
     in_.assign(un, 1);
     for (std::int32_t i = 0; i < n; ++i) {
       next_[static_cast<std::size_t>(i)] = (i + 1 < n) ? i + 1 : -1;
       prev_[static_cast<std::size_t>(i)] = i - 1;
+      pos_[static_cast<std::size_t>(i)] = i;
     }
     head_ = n > 0 ? 0 : -1;
     tail_ = n - 1;
     size_ = un;
+    end_pos_ = n;
   }
 
   [[nodiscard]] bool empty() const { return size_ == 0; }
@@ -83,6 +92,29 @@ class PendingList {
   [[nodiscard]] bool contains(std::int32_t index) const {
     return index >= 0 && static_cast<std::size_t>(index) < in_.size() &&
            in_[static_cast<std::size_t>(index)] != 0;
+  }
+
+  /// Position `index` was last given (see the file comment); meaningful
+  /// while contains(index).
+  [[nodiscard]] std::int32_t position(std::int32_t index) const {
+    return pos_[static_cast<std::size_t>(index)];
+  }
+  /// One past the latest position given out.
+  [[nodiscard]] std::int32_t end_position() const { return end_pos_; }
+
+  /// Calls fn(index) for each pending index at position `from` or later,
+  /// in order. They form a suffix of the list.
+  template <typename Fn>
+  void for_each_since(std::int32_t from, Fn&& fn) const {
+    std::int32_t first = tail_;
+    while (first >= 0 && pos_[static_cast<std::size_t>(first)] >= from) {
+      first = prev_[static_cast<std::size_t>(first)];
+    }
+    first = first >= 0 ? next_[static_cast<std::size_t>(first)] : head_;
+    for (std::int32_t i = first; i >= 0;
+         i = next_[static_cast<std::size_t>(i)]) {
+      fn(i);
+    }
   }
 
   void erase(std::int32_t index) {
@@ -109,8 +141,10 @@ class PendingList {
                 static_cast<std::size_t>(index) < in_.size() &&
                 !contains(index));
     const auto i = static_cast<std::size_t>(index);
+    DAGON_CHECK(end_pos_ < std::numeric_limits<std::int32_t>::max());
     prev_[i] = tail_;
     next_[i] = -1;
+    pos_[i] = end_pos_++;
     if (tail_ >= 0) {
       next_[static_cast<std::size_t>(tail_)] = index;
     } else {
@@ -138,10 +172,12 @@ class PendingList {
  private:
   std::vector<std::int32_t> next_;
   std::vector<std::int32_t> prev_;
+  std::vector<std::int32_t> pos_;  // pending position per index
   std::vector<char> in_;  // membership flag per index
   std::int32_t head_ = -1;
   std::int32_t tail_ = -1;
   std::size_t size_ = 0;
+  std::int32_t end_pos_ = 0;
 };
 
 }  // namespace dagon

@@ -13,6 +13,10 @@ std::vector<SpeculationCandidate> speculation_candidates(
   std::vector<SpeculationCandidate> out;
   if (!config.enabled) return out;
 
+  // Attempts launch in bursts per stage, so the running ones of a stage
+  // mostly sit next to each other: keep the last stage's median.
+  StageId median_stage = StageId::invalid();
+  SimTime median{};
   for (std::size_t i = 0; i < running.size(); ++i) {
     const TaskRuntime& task = running[i];
     if (task.status != TaskStatus::Running || task.speculative) continue;
@@ -25,7 +29,10 @@ std::vector<SpeculationCandidate> speculation_candidates(
           static_cast<double>(std::max(1, rt.num_tasks));
       if (done_fraction < config.quantile) continue;
     }
-    const SimTime median = median_of(rt.finished_durations);
+    if (task.stage != median_stage) {
+      median_stage = task.stage;
+      median = median_of(rt.finished_durations);
+    }
     const double multiplier = is_impaired ? 1.0 : config.multiplier;
     const SimTime threshold = scale_time(median, multiplier);
     const SimTime elapsed = now - task.launch_time;

@@ -1,6 +1,8 @@
 #include "sched/task_locality.hpp"
 
 #include <algorithm>
+#include <array>
+#include <ostream>
 
 namespace dagon {
 
@@ -53,15 +55,10 @@ Locality task_locality_on(const JobDag& dag,
 
 namespace {
 
-/// Ladder for stages with narrow deps, with/without a Process rung.
-std::vector<Locality> narrow_levels(bool any_process) {
-  std::vector<Locality> levels;
-  if (any_process) levels.push_back(Locality::Process);
-  levels.push_back(Locality::Node);
-  levels.push_back(Locality::Rack);
-  levels.push_back(Locality::Any);
-  return levels;
-}
+constexpr std::array<Locality, 2> kShuffleLadder{Locality::NoPref,
+                                                 Locality::Any};
+constexpr std::array<Locality, 4> kNarrowLadder{
+    Locality::Process, Locality::Node, Locality::Rack, Locality::Any};
 
 bool stage_has_narrow(const Stage& s) {
   for (const RddRef& ref : s.inputs) {
@@ -72,6 +69,13 @@ bool stage_has_narrow(const Stage& s) {
 
 }  // namespace
 
+std::span<const Locality> locality_ladder(bool has_narrow,
+                                          bool any_process) {
+  if (!has_narrow) return kShuffleLadder;
+  return std::span<const Locality>(kNarrowLadder).subspan(any_process ? 0
+                                                                      : 1);
+}
+
 std::vector<Locality> valid_locality_levels(const JobDag& dag,
                                             const BlockManagerMaster& master,
                                             const Topology& topo,
@@ -79,133 +83,225 @@ std::vector<Locality> valid_locality_levels(const JobDag& dag,
   (void)topo;
   const Stage& s = dag.stage(stage.id);
   // Pure-shuffle stages have no preferred locations at all: every task
-  // is NO_PREF. Narrow-dep stages always have at least a disk location
-  // for every pending task (the parent block exists by readiness), so
-  // none of their tasks is NO_PREF.
-  if (!stage_has_narrow(s)) {
-    return {Locality::NoPref, Locality::Any};
-  }
+  // is NO_PREF. A narrow-dep stage's ladder has no NoPref rung, even
+  // for a task with no usable copy anywhere.
   bool any_process = false;
-  for (const std::int32_t index : stage.pending) {
-    for (const RddRef& ref : s.inputs) {
-      if (ref.kind != DepKind::Narrow) continue;
-      if (master.any_healthy_memory_holder(BlockId{ref.rdd, index})) {
-        any_process = true;
-        break;
+  if (stage_has_narrow(s)) {
+    for (const std::int32_t index : stage.pending) {
+      for (const RddRef& ref : s.inputs) {
+        if (ref.kind != DepKind::Narrow) continue;
+        if (master.any_healthy_memory_holder(BlockId{ref.rdd, index})) {
+          any_process = true;
+          break;
+        }
       }
+      if (any_process) break;
     }
-    if (any_process) break;
   }
-  return narrow_levels(any_process);
+  const auto ladder = locality_ladder(stage_has_narrow(s), any_process);
+  return {ladder.begin(), ladder.end()};
 }
 
-// --- LocalityCache ---------------------------------------------------------
+std::ostream& operator<<(std::ostream& os, const TaskPick& pick) {
+  return os << "task " << pick.task_index << " @"
+            << locality_name(pick.locality);
+}
 
-void LocalityCache::catch_up(const JobDag& dag,
-                             const BlockManagerMaster& master) {
-  constexpr auto kUnknown = static_cast<std::int8_t>(-1);
+std::optional<TaskPick> best_task_by_scan(const JobDag& dag,
+                                          const BlockManagerMaster& master,
+                                          const Topology& topo,
+                                          const StageRuntime& stage,
+                                          ExecutorId exec) {
+  std::optional<TaskPick> best;
+  for (const std::int32_t index : stage.pending) {
+    const Locality l = task_locality_on(dag, master, topo, stage.id, index,
+                                        exec);
+    if (!best || static_cast<int>(l) < static_cast<int>(best->locality)) {
+      best = TaskPick{index, l};
+      if (l == Locality::Process) break;  // cannot do better
+    }
+  }
+  return best;
+}
+
+// --- PendingTaskIndex ------------------------------------------------------
+
+namespace {
+
+void add_unique(std::vector<std::int32_t>& ids, std::int32_t id) {
+  if (std::find(ids.begin(), ids.end(), id) == ids.end()) ids.push_back(id);
+}
+
+}  // namespace
+
+PendingTaskIndex::StageIndex& PendingTaskIndex::sync(
+    const JobState& state, const BlockManagerMaster& master,
+    const StageRuntime& rt) {
+  if (stages_.empty()) {
+    stages_.resize(state.dag().num_stages());
+    watchers_.resize(state.dag().rdds().size());
+  }
+  if (cursor_ != master.journal_end()) catch_up(state, master);
+  StageIndex& si = stages_[static_cast<std::size_t>(rt.id.value())];
+  if (!si.built) {
+    build(state, master, rt.id, si);
+  } else if (si.indexed_end != rt.pending.end_position()) {
+    rt.pending.for_each_since(si.indexed_end, [&](std::int32_t task) {
+      index_task(state, master, rt.id, si, task);
+    });
+    si.indexed_end = rt.pending.end_position();
+  }
+  if (memo_.stage != rt.id || memo_.epoch != rt.epoch ||
+      memo_.cursor != cursor_) {
+    memo_ = Memo{rt.id, rt.epoch, cursor_,
+                 first_live(&si.in_memory, rt.pending, si).has_value()};
+  }
+  return si;
+}
+
+void PendingTaskIndex::catch_up(const JobState& state,
+                                const BlockManagerMaster& master) {
   const std::uint64_t end = master.journal_end();
   if (cursor_ < master.journal_begin()) {
-    // The journal dropped entries this memo never read.
-    for (auto& slots : loc_) std::fill(slots.begin(), slots.end(), kUnknown);
-    for (auto& bits : mem_pref_) std::fill(bits.begin(), bits.end(), kUnknown);
+    // The journal dropped entries this index never read.
+    for (StageIndex& si : stages_) si = StageIndex{};
+    for (std::vector<StageId>& stages : watchers_) stages.clear();
     cursor_ = end;
     return;
   }
-  if (narrow_readers_.empty()) {
-    narrow_readers_.resize(dag.rdds().size());
-    for (const Stage& s : dag.stages()) {
-      for (const RddRef& ref : s.inputs) {
-        if (ref.kind != DepKind::Narrow) continue;
-        narrow_readers_[static_cast<std::size_t>(ref.rdd.value())].push_back(
-            s.id);
-      }
-    }
-  }
   for (std::uint64_t pos = cursor_; pos < end; ++pos) {
     const BlockId& block = master.journal_at(pos);
-    const auto row = static_cast<std::size_t>(block.partition);
     for (const StageId s :
-         narrow_readers_[static_cast<std::size_t>(block.rdd.value())]) {
-      const auto si = static_cast<std::size_t>(s.value());
-      if (si < loc_.size() && !loc_[si].empty()) {
-        std::fill_n(loc_[si].begin() +
-                        static_cast<std::ptrdiff_t>(row * num_executors_),
-                    num_executors_, kUnknown);
-      }
-      if (si < mem_pref_.size() && !mem_pref_[si].empty()) {
-        mem_pref_[si][row] = kUnknown;
+         watchers_[static_cast<std::size_t>(block.rdd.value())]) {
+      StageIndex& si = stages_[static_cast<std::size_t>(s.value())];
+      const PendingList& pending = state.stage(s).pending;
+      // A task re-queued since the stage's last ask is indexed at its
+      // next one, with the placement of then.
+      if (pending.contains(block.partition) &&
+          pending.position(block.partition) < si.indexed_end) {
+        index_task(state, master, s, si, block.partition);
       }
     }
   }
   cursor_ = end;
 }
 
-Locality LocalityCache::locality(const JobDag& dag,
-                                 const BlockManagerMaster& master,
-                                 const Topology& topo, StageId s,
-                                 std::int32_t index, ExecutorId exec) {
-  sync(dag, master);
-  if (loc_.empty()) {
-    loc_.resize(dag.num_stages());
-    num_executors_ = topo.num_executors();
+void PendingTaskIndex::build(const JobState& state,
+                             const BlockManagerMaster& master, StageId s,
+                             StageIndex& si) {
+  const StageRuntime& rt = state.stage(s);
+  si.built = true;
+  si.stamp.assign(static_cast<std::size_t>(rt.num_tasks), 0);
+  for (const std::int32_t task : rt.pending) {
+    index_task(state, master, s, si, task);
   }
-  const std::size_t want =
-      static_cast<std::size_t>(dag.stage(s).num_tasks) * num_executors_;
-  if (want > kMaxMemoSlots) {
-    // Memo table would be too large for this stage (see kMaxMemoSlots);
-    // recompute directly — identical answer, no storage.
-    return task_locality_on(dag, master, topo, s, index, exec);
-  }
-  auto& slots = loc_[static_cast<std::size_t>(s.value())];
-  if (slots.empty()) slots.assign(want, static_cast<std::int8_t>(-1));
-  const std::size_t slot =
-      static_cast<std::size_t>(index) * num_executors_ +
-      static_cast<std::size_t>(exec.value());
-  if (slots[slot] < 0) {
-    slots[slot] = static_cast<std::int8_t>(
-        task_locality_on(dag, master, topo, s, index, exec));
-  }
-  return static_cast<Locality>(slots[slot]);
-}
-
-bool LocalityCache::any_process_pref(const JobDag& dag,
-                                     const BlockManagerMaster& master,
-                                     const StageRuntime& stage) {
-  sync(dag, master);
-  if (mem_pref_.empty()) mem_pref_.resize(dag.num_stages());
-  auto& bits = mem_pref_[static_cast<std::size_t>(stage.id.value())];
-  const Stage& s = dag.stage(stage.id);
-  if (bits.empty()) {
-    bits.assign(static_cast<std::size_t>(s.num_tasks),
-                static_cast<std::int8_t>(-1));
-  }
-  for (const std::int32_t index : stage.pending) {
-    auto& bit = bits[static_cast<std::size_t>(index)];
-    if (bit < 0) {
-      bit = 0;
-      for (const RddRef& ref : s.inputs) {
-        if (ref.kind != DepKind::Narrow) continue;
-        if (master.any_healthy_memory_holder(BlockId{ref.rdd, index})) {
-          bit = 1;
-          break;
-        }
-      }
+  si.indexed_end = rt.pending.end_position();
+  for (const RddRef& ref : state.dag().stage(s).inputs) {
+    if (ref.kind == DepKind::Narrow) {
+      watchers_[static_cast<std::size_t>(ref.rdd.value())].push_back(s);
     }
-    if (bit > 0) return true;
   }
-  return false;
 }
 
-std::vector<Locality> LocalityCache::levels(const JobDag& dag,
-                                            const BlockManagerMaster& master,
-                                            const Topology& topo,
-                                            const StageRuntime& stage) {
-  (void)topo;
-  if (!stage_has_narrow(dag.stage(stage.id))) {
-    return {Locality::NoPref, Locality::Any};
+void PendingTaskIndex::index_task(const JobState& state,
+                                  const BlockManagerMaster& master,
+                                  StageId s, StageIndex& si,
+                                  std::int32_t task) {
+  const Topology& topo = state.topology();
+  execs_.clear();
+  nodes_.clear();
+  racks_.clear();
+  for (const RddRef& ref : state.dag().stage(s).inputs) {
+    if (ref.kind != DepKind::Narrow) continue;
+    const BlockId block{ref.rdd, task};
+    for (const ExecutorId holder : master.memory_holders(block)) {
+      if (master.executor_suspect(holder)) continue;  // as task_locality_on
+      add_unique(execs_, holder.value());
+      add_unique(nodes_, topo.node_of(holder).value());
+    }
+    for (const NodeId n : master.hdfs_replicas(block)) {
+      add_unique(nodes_, n.value());
+    }
+    for (const NodeId n : master.produced_disk_nodes(block)) {
+      add_unique(nodes_, n.value());
+    }
   }
-  return narrow_levels(any_process_pref(dag, master, stage));
+  for (const std::int32_t n : nodes_) {
+    add_unique(racks_, topo.rack_of(NodeId(n)).value());
+  }
+
+  const Entry entry{state.stage(s).pending.position(task), task,
+                    ++si.stamp[static_cast<std::size_t>(task)]};
+  const auto push = [&](Bucket& bucket) {
+    bucket.push_back(entry);
+    std::push_heap(bucket.begin(), bucket.end(), Entry::later);
+  };
+  for (const std::int32_t e : execs_) {
+    push(si.by_node.get(topo.node_of(ExecutorId(e)).value()).by_exec.get(e));
+  }
+  for (const std::int32_t n : nodes_) push(si.by_node.get(n).tasks);
+  for (const std::int32_t r : racks_) push(si.by_rack.get(r));
+  if (nodes_.empty()) push(si.no_pref);
+  if (!execs_.empty()) push(si.in_memory);
+}
+
+std::optional<std::int32_t> PendingTaskIndex::first_live(
+    Bucket* bucket, const PendingList& pending, const StageIndex& si) {
+  if (bucket == nullptr) return std::nullopt;
+  while (!bucket->empty()) {
+    const Entry& top = bucket->front();
+    if (pending.contains(top.task) && pending.position(top.task) == top.pos &&
+        si.stamp[static_cast<std::size_t>(top.task)] == top.stamp) {
+      return top.task;
+    }
+    std::pop_heap(bucket->begin(), bucket->end(), Entry::later);
+    bucket->pop_back();
+  }
+  return std::nullopt;
+}
+
+std::optional<TaskPick> PendingTaskIndex::best(
+    const JobState& state, const BlockManagerMaster& master, StageId s,
+    ExecutorId exec) {
+  const StageRuntime& rt = state.stage(s);
+  if (rt.pending.empty()) return std::nullopt;
+  // Pure-shuffle stage: every task is NoPref, so the first pending one
+  // wins, in O(1).
+  if (!rt.has_narrow) return TaskPick{rt.pending.front(), Locality::NoPref};
+  StageIndex& si = sync(state, master, rt);
+  const Topology& topo = state.topology();
+  const NodeId node = topo.node_of(exec);
+  const auto pick = [&](Bucket* bucket) {
+    return first_live(bucket, rt.pending, si);
+  };
+  if (memo_.node != node) {
+    memo_.node = node;
+    memo_.buckets = si.by_node.find(node.value());
+    if (const auto t = pick(memo_.buckets ? &memo_.buckets->tasks : nullptr)) {
+      memo_.below_process = TaskPick{*t, Locality::Node};
+    } else if (const auto u = pick(&si.no_pref)) {
+      memo_.below_process = TaskPick{*u, Locality::NoPref};
+    } else if (const auto v =
+                   pick(si.by_rack.find(topo.rack_of(node).value()))) {
+      memo_.below_process = TaskPick{*v, Locality::Rack};
+    } else {
+      memo_.below_process = TaskPick{rt.pending.front(), Locality::Any};
+    }
+  }
+  if (memo_.any_in_memory && memo_.buckets != nullptr) {
+    if (const auto t = pick(memo_.buckets->by_exec.find(exec.value()))) {
+      return TaskPick{*t, Locality::Process};
+    }
+  }
+  return memo_.below_process;
+}
+
+std::span<const Locality> PendingTaskIndex::levels(
+    const JobState& state, const BlockManagerMaster& master, StageId s) {
+  const StageRuntime& rt = state.stage(s);
+  if (!rt.has_narrow) return locality_ladder(false, false);
+  (void)sync(state, master, rt);
+  return locality_ladder(true, memo_.any_in_memory);
 }
 
 }  // namespace dagon

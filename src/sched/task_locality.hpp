@@ -7,6 +7,10 @@
 // launch anywhere without waiting.
 #pragma once
 
+#include <algorithm>
+#include <iosfwd>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "cache/block_manager_master.hpp"
@@ -21,72 +25,172 @@ namespace dagon {
                                         const Topology& topo, StageId s,
                                         std::int32_t index, ExecutorId exec);
 
+/// Spark's TaskSetManager::myLocalityLevels, best-first: {NoPref, Any}
+/// for a stage without narrow inputs; otherwise {Process, Node, Rack,
+/// Any} when some pending task has a memory copy on a healthy executor,
+/// and {Node, Rack, Any} when none has.
+[[nodiscard]] std::span<const Locality> locality_ladder(bool has_narrow,
+                                                        bool any_process);
+
 /// The locality levels that can occur for stage `s`'s pending tasks,
-/// best-first — Spark's TaskSetManager::myLocalityLevels. A taskset
-/// whose tasks have no preferences yields {NoPref, Any}. The scheduler
-/// asks LocalityCache::levels; this recompute is its test reference.
+/// best-first (locality_ladder). The scheduler asks
+/// PendingTaskIndex::levels; this recompute is its test reference.
 [[nodiscard]] std::vector<Locality> valid_locality_levels(
     const JobDag& dag, const BlockManagerMaster& master,
     const Topology& topo, const StageRuntime& stage);
 
-/// Memoizes task_locality_on answers per (stage, task, executor) plus a
-/// per-(stage, task) "has a memory-resident input" bit. Task i of a
-/// stage reads only blocks (r, i) of its narrow parents r, so its
-/// answers change only when the master journals one of those blocks.
-/// Before answering, the memo reads the placement journal from its own
-/// cursor and resets, for each journaled block (r, i), row i of every
-/// stage that narrow-reads r; it resets everything only when the
-/// journal dropped entries the cursor had not read yet.
+/// A pending task and the locality it would run at on some executor.
+struct TaskPick {
+  std::int32_t task_index = -1;
+  Locality locality = Locality::Any;
+  friend bool operator==(const TaskPick&, const TaskPick&) = default;
+};
+
+/// Prints e.g. "task 3 @NODE_LOCAL".
+std::ostream& operator<<(std::ostream& os, const TaskPick& pick);
+
+/// The first pending task of `stage`, in pending order, at the best
+/// locality on `exec`, found by walking every pending task through
+/// task_locality_on; nullopt when nothing is pending. The reference
+/// PendingTaskIndex::best must match.
+[[nodiscard]] std::optional<TaskPick> best_task_by_scan(
+    const JobDag& dag, const BlockManagerMaster& master,
+    const Topology& topo, const StageRuntime& stage, ExecutorId exec);
+
+/// Spark TaskSetManager's pending-task lists, kept exact. For each stage
+/// with a narrow input, built on the stage's first ask, it keeps the
+/// pending tasks in buckets, each a min-heap on pending position
+/// (PendingList::position):
+///   - per executor (filed under its node): tasks with a memory copy
+///     there;
+///   - per node: tasks with any copy there (memory or disk);
+///   - tasks with no copy at all;
+///   - per rack: tasks with any copy there;
+///   - tasks with a memory copy anywhere (the ladder's Process rung).
+/// Memory copies on suspects count nowhere, as in task_locality_on.
+/// Buckets exist only for locations that hold a copy.
 ///
-/// This turns the scheduler's O(pending × executors) inner loop from
-/// recompute-per-event into amortized array reads. One instance serves
-/// one run (not thread-safe across runs; each SimDriver owns its own).
-class LocalityCache {
+/// best() reads at most four bucket tops and pending.front(), in the
+/// order Process < Node < NoPref < Rack < Any. The first non-empty one
+/// is exact: a task with a memory copy on `e` also has node(e) among its
+/// nodes, so when e's executor bucket is empty every task of node(e)'s
+/// bucket is Node-local on `e`, and so on down the ladder. Every
+/// executor of a node shares the answer below Process (see memo_).
+///
+/// Entries are never removed eagerly. One is live while its task is
+/// pending at the entry's position and its locations have not been
+/// recomputed since; the rest are popped when they reach a top, as
+/// Spark skips launched tasks. Each placement journal entry (r, i)
+/// recomputes task i's locations in every indexed stage that narrow-
+/// reads r; a cursor behind journal_begin() drops every stage's buckets,
+/// to be rebuilt on its next ask. Re-queued tasks (positions at or past
+/// the stage's last look) are indexed on the stage's next ask.
+///
+/// One instance serves one run (not thread-safe across runs; each
+/// SimDriver's delay policy owns its own).
+class PendingTaskIndex {
  public:
-  /// Per-stage memo ceiling: a stage whose num_tasks × num_executors
-  /// table would exceed this many entries (16 MiB of int8) is served by
-  /// direct recomputation instead — same answers, bounded footprint.
-  /// Matters only at bench_scale sizes (e.g. 1M tasks × 10k executors
-  /// would want a 10 GB table).
-  static constexpr std::size_t kMaxMemoSlots = std::size_t{1} << 24;
-
-  /// Same answer as task_locality_on, served from the memo when the
-  /// placement has not changed since it was computed.
-  [[nodiscard]] Locality locality(const JobDag& dag,
-                                  const BlockManagerMaster& master,
-                                  const Topology& topo, StageId s,
-                                  std::int32_t index, ExecutorId exec);
-
-  /// True when any *pending* task of `stage` has a narrow-dep input
-  /// block resident in some executor's memory — the expensive scan of
-  /// valid_locality_levels, memoized per (stage, task).
-  [[nodiscard]] bool any_process_pref(const JobDag& dag,
-                                      const BlockManagerMaster& master,
-                                      const StageRuntime& stage);
-
-  /// valid_locality_levels with the any-process scan served by the memo.
-  [[nodiscard]] std::vector<Locality> levels(const JobDag& dag,
+  /// best_task_by_scan's answer.
+  [[nodiscard]] std::optional<TaskPick> best(const JobState& state,
                                              const BlockManagerMaster& master,
-                                             const Topology& topo,
-                                             const StageRuntime& stage);
+                                             StageId s, ExecutorId exec);
+
+  /// valid_locality_levels's answer, without allocating.
+  [[nodiscard]] std::span<const Locality> levels(
+      const JobState& state, const BlockManagerMaster& master, StageId s);
 
  private:
-  /// Catches up with the placement journal. The caught-up test stays
-  /// inline: it runs on every memo lookup.
-  void sync(const JobDag& dag, const BlockManagerMaster& master) {
-    if (cursor_ != master.journal_end()) catch_up(dag, master);
-  }
-  void catch_up(const JobDag& dag, const BlockManagerMaster& master);
+  struct Entry {
+    std::int32_t pos = 0;  // pending position
+    std::int32_t task = 0;
+    std::uint32_t stamp = 0;  // the task's stamp when this entry was made
+    /// Heap order: the smallest position on top.
+    static bool later(const Entry& a, const Entry& b) { return a.pos > b.pos; }
+  };
+  /// A min-heap on position.
+  using Bucket = std::vector<Entry>;
+  /// Values by location id, ids ascending.
+  template <class V>
+  struct Keyed {
+    std::vector<std::int32_t> ids;
+    std::vector<V> values;
+    /// The value of `id`, or null.
+    V* find(std::int32_t id) {
+      const auto it = std::lower_bound(ids.begin(), ids.end(), id);
+      if (it == ids.end() || *it != id) return nullptr;
+      return &values[static_cast<std::size_t>(it - ids.begin())];
+    }
+    /// The value of `id`, added empty if missing.
+    V& get(std::int32_t id) {
+      const auto it = std::lower_bound(ids.begin(), ids.end(), id);
+      const auto at = it - ids.begin();
+      if (it == ids.end() || *it != id) {
+        ids.insert(it, id);
+        values.insert(values.begin() + at, V{});
+      }
+      return values[static_cast<std::size_t>(at)];
+    }
+  };
+  /// A node's tasks (any copy there), and per executor of the node the
+  /// tasks with a memory copy on it.
+  struct NodeBuckets {
+    Bucket tasks;
+    Keyed<Bucket> by_exec;
+  };
+  struct StageIndex {
+    bool built = false;
+    /// Pending positions below this have been indexed.
+    std::int32_t indexed_end = 0;
+    /// Per task: bumped whenever its locations are recomputed.
+    std::vector<std::uint32_t> stamp;
+    Keyed<NodeBuckets> by_node;
+    Keyed<Bucket> by_rack;
+    Bucket no_pref;
+    Bucket in_memory;
+  };
 
-  /// Journal position up to which the memo has applied every entry.
+  /// Catches up with the journal and with the stage's re-queues,
+  /// building the stage's buckets on its first ask, and points memo_ at
+  /// the stage as it is now.
+  StageIndex& sync(const JobState& state, const BlockManagerMaster& master,
+                   const StageRuntime& rt);
+  void catch_up(const JobState& state, const BlockManagerMaster& master);
+  void build(const JobState& state, const BlockManagerMaster& master,
+             StageId s, StageIndex& si);
+  /// (Re)computes `task`'s locations and pushes one live entry for each.
+  void index_task(const JobState& state, const BlockManagerMaster& master,
+                  StageId s, StageIndex& si, std::int32_t task);
+  /// Task of `bucket`'s top live entry, popping the stale ones above it;
+  /// nullopt when none is live or `bucket` is null.
+  static std::optional<std::int32_t> first_live(Bucket* bucket,
+                                                const PendingList& pending,
+                                                const StageIndex& si);
+
+  /// Journal position up to which every entry has been applied.
   std::uint64_t cursor_ = 0;
-  std::size_t num_executors_ = 0;
-  /// Per stage: num_tasks × num_executors locality values, -1 = unknown.
-  std::vector<std::vector<std::int8_t>> loc_;
-  /// Per stage: per task, 1/0 = has/lacks a memory holder, -1 = unknown.
-  std::vector<std::vector<std::int8_t>> mem_pref_;
-  /// Per RDD id: the stages that read it through a narrow dependency.
-  std::vector<std::vector<StageId>> narrow_readers_;
+  /// Indexed by stage id.
+  std::vector<StageIndex> stages_;
+  /// Per RDD id: the built stages that read it through a narrow edge.
+  std::vector<std::vector<StageId>> watchers_;
+  /// What holds for one stage while its pending set (its epoch) and the
+  /// placement (the cursor) stay as they are: whether any pending task
+  /// has a memory copy, and the last node asked about, with its buckets
+  /// and its best task below Process, which every executor of the node
+  /// shares. A scan asks for the executors of one node in a row.
+  struct Memo {
+    StageId stage = StageId::invalid();
+    std::uint64_t epoch = 0;
+    std::uint64_t cursor = 0;
+    bool any_in_memory = false;
+    NodeId node = NodeId::invalid();
+    NodeBuckets* buckets = nullptr;
+    std::optional<TaskPick> below_process;
+  };
+  Memo memo_;
+  /// index_task's scratch: the task's executors, nodes and racks.
+  std::vector<std::int32_t> execs_;
+  std::vector<std::int32_t> nodes_;
+  std::vector<std::int32_t> racks_;
 };
 
 }  // namespace dagon

@@ -114,6 +114,8 @@ SimDriver::SimDriver(const JobDag& dag, const JobProfile& profile,
   attempt_first_.assign(static_cast<std::size_t>(total_tasks), -1);
   attempt_last_.assign(static_cast<std::size_t>(total_tasks), -1);
   attempt_next_.reserve(static_cast<std::size_t>(total_tasks));
+  running_prev_.reserve(static_cast<std::size_t>(total_tasks));
+  running_next_.reserve(static_cast<std::size_t>(total_tasks));
   attempts_.reserve(static_cast<std::size_t>(total_tasks));
   retry_counts_.assign(static_cast<std::size_t>(total_tasks), 0);
   prefetch_inflight_.assign(static_cast<std::size_t>(dag.num_blocks()), 0);
@@ -557,6 +559,14 @@ void SimDriver::launch_task(StageId s, const Assignment& a, SimTime now,
   attempt.speculative = speculative;
   attempts_.push_back(attempt);
   attempt_next_.push_back(-1);
+  running_prev_.push_back(running_tail_);
+  running_next_.push_back(-1);
+  if (running_tail_ >= 0) {
+    running_next_[static_cast<std::size_t>(running_tail_)] = id.value();
+  } else {
+    running_head_ = id.value();
+  }
+  running_tail_ = id.value();
   const std::size_t ord = task_ord(s, a.task_index);
   if (attempt_first_[ord] < 0) {
     attempt_first_[ord] = id.value();
@@ -650,7 +660,7 @@ void SimDriver::handle_task_finish(TaskId id, SimTime now) {
   const bool stage_done =
       state_.mark_finished(s, index, attempt.executor, attempt.locality,
                            attempt.launch_time, now);
-  release_attempt(attempt, now);
+  release_attempt(id, now);
   const Rdd& out = dag_->rdd(dag_->stage(s).output);
   if (out.bytes_per_partition > Bytes{0}) {
     master_.on_block_produced(BlockId{out.id, index}, attempt.executor, now);
@@ -694,10 +704,24 @@ void SimDriver::cancel_attempt(TaskId id, SimTime now) {
   }
   state_.add_free_cores(attempt.executor, demand);
   --state_.stage(attempt.stage).running;
-  release_attempt(attempt, now);
+  release_attempt(id, now);
 }
 
-void SimDriver::release_attempt(const TaskRuntime& attempt, SimTime now) {
+void SimDriver::release_attempt(TaskId id, SimTime now) {
+  const auto i = static_cast<std::size_t>(id.value());
+  const TaskRuntime& attempt = attempts_[i];
+  const std::int64_t prev = running_prev_[i];
+  const std::int64_t next = running_next_[i];
+  if (prev >= 0) {
+    running_next_[static_cast<std::size_t>(prev)] = next;
+  } else {
+    running_head_ = next;
+  }
+  if (next >= 0) {
+    running_prev_[static_cast<std::size_t>(next)] = prev;
+  } else {
+    running_tail_ = prev;
+  }
   const Cpus demand = dag_->stage(attempt.stage).task_cpus;
   claim_reservation(attempt.executor, now);
   if (serving_) {
@@ -804,15 +828,14 @@ void SimDriver::try_speculation(SimTime now) {
   if (!config_.speculation.enabled) return;
   std::vector<TaskRuntime> running;
   std::vector<bool> impaired;
-  for (const TaskRuntime& a : attempts_) {
-    if (a.status == TaskStatus::Running) {
-      running.push_back(a);
-      // Attempts on suspect or degraded executors are straggler
-      // candidates with a relaxed threshold (gray-failure defense).
-      impaired.push_back(state_.executor(a.executor).suspect() ||
-                         fault_plan_.degrade_factor(a.executor, now) > 1.0);
-    }
-  }
+  for_each_running([&](std::int64_t id) {
+    const TaskRuntime& a = attempts_[static_cast<std::size_t>(id)];
+    running.push_back(a);
+    // Attempts on suspect or degraded executors are straggler
+    // candidates with a relaxed threshold (gray-failure defense).
+    impaired.push_back(state_.executor(a.executor).suspect() ||
+                       fault_plan_.degrade_factor(a.executor, now) > 1.0);
+  });
   for (const SpeculationCandidate& c : speculation_candidates(
            state_, running, impaired, config_.speculation, now)) {
     // Already has a live speculative copy?
@@ -955,12 +978,11 @@ void SimDriver::handle_executor_crash(ExecutorId exec, SimTime now) {
   // 1. Fail every attempt running on the victim (returns their cores to
   // the still-alive bookkeeping, schedules retries).
   std::vector<TaskId> victims;
-  for (std::size_t i = 0; i < attempts_.size(); ++i) {
-    const TaskRuntime& a = attempts_[i];
-    if (a.status == TaskStatus::Running && a.executor == exec) {
-      victims.push_back(TaskId(static_cast<std::int64_t>(i)));
+  for_each_running([&](std::int64_t id) {
+    if (attempts_[static_cast<std::size_t>(id)].executor == exec) {
+      victims.push_back(TaskId(id));
     }
-  }
+  });
   for (const TaskId id : victims) fail_attempt(id, now, /*from_crash=*/true);
 
   // 2. Remove the executor from the cluster for good. Suspicion was
@@ -1006,7 +1028,7 @@ void SimDriver::fail_attempt(TaskId id, SimTime now, bool from_crash) {
   const std::int32_t index = attempt.index;
   state_.add_free_cores(attempt.executor, dag_->stage(s).task_cpus);
   --state_.stage(s).running;
-  release_attempt(attempt, now);
+  release_attempt(id, now);
   if (from_crash) {
     ++metrics_.faults.crash_failures;
   } else {
@@ -1379,6 +1401,9 @@ void SimDriver::verify_quiescent() const {
                         << a.stage << " task " << a.index
                         << " still running");
   }
+  DAGON_CHECK_MSG(running_head_ < 0,
+                  "end of run: attempt " << running_head_
+                                         << " left on the running list");
   if (config_.per_executor_profiles) {
     for (const ExecutorProfile& p : metrics_.executor_profiles) {
       DAGON_CHECK_MSG(p.busy_cores.value() == 0.0,

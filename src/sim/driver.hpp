@@ -44,9 +44,10 @@ class SimDriver {
   void cancel_attempt(TaskId id, SimTime now);
   /// Bookkeeping shared by every attempt end (finish, cancel, fail), run
   /// once the attempt's cores are back on its executor: a pending
-  /// reservation claims them, and the job's running cores, the busy and
-  /// running timelines and the executor profile drop the attempt.
-  void release_attempt(const TaskRuntime& attempt, SimTime now);
+  /// reservation claims them, and the running list, the job's running
+  /// cores, the busy and running timelines and the executor profile drop
+  /// the attempt.
+  void release_attempt(TaskId id, SimTime now);
   void handle_prefetch_done(const Event& e, SimTime now);
   /// Applies SimConfig::capacity_phases[index]: re-targets per-executor
   /// tenant reservations, claiming free cores now and task completions
@@ -192,6 +193,21 @@ class SimDriver {
   std::vector<std::int64_t> attempt_first_;
   std::vector<std::int64_t> attempt_last_;
   std::vector<std::int64_t> attempt_next_;  // parallel to attempts_
+  /// The Running attempts in ascending id order: an intrusive doubly-
+  /// linked list over attempt ids (-1 = none). launch_task appends (ids
+  /// only grow) and release_attempt unlinks, both in O(1).
+  std::vector<std::int64_t> running_prev_;  // parallel to attempts_
+  std::vector<std::int64_t> running_next_;  // parallel to attempts_
+  std::int64_t running_head_ = -1;
+  std::int64_t running_tail_ = -1;
+  /// Calls fn(id) for each Running attempt, ascending.
+  template <class Fn>
+  void for_each_running(Fn&& fn) const {
+    for (std::int64_t id = running_head_; id >= 0;
+         id = running_next_[static_cast<std::size_t>(id)]) {
+      fn(id);
+    }
+  }
   /// 1 = a prefetch of this block ordinal is in flight somewhere.
   std::vector<char> prefetch_inflight_;
   /// The node ranking issue_prefetches picks from; its buffer is reused

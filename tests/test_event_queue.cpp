@@ -196,10 +196,10 @@ TEST(EventQueueProperty, MatchesBinaryHeapOnExactBoundaryJumps) {
       kWidth,
       kWidth + kTick,
       2 * kWidth,
-      513 * kWidth,  // mid-calendar: forces circular bucket wrap
+      513 * kWidth,  // an odd multiple far from both ends of the grid
       kHorizon - kWidth,
       kHorizon - kTick,
-      kHorizon,  // first overflow-eligible offset
+      kHorizon,  // the grid's end
       kHorizon + kTick,
       2 * kHorizon - kTick,
       2 * kHorizon,
@@ -277,7 +277,7 @@ TEST(EventQueueProperty, PromotionSplitsExactHorizonRim) {
   }
   push(kWidth);            // straggler far below the clock
   push(2 * kHorizon);      // duplicate of an already-queued rim time
-  push(kHorizon + kWidth);  // ties the queued first-bucket entry
+  push(kHorizon + kWidth);  // ties an entry queued before the pops
   drain_and_compare(q, ref);
 }
 

@@ -8,6 +8,7 @@
 #include <iterator>
 #include <memory>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -473,13 +474,15 @@ TEST_P(PrefetchReference, ChoiceMatchesBruteForce) {
 INSTANTIATE_TEST_SUITE_P(Seeds, PrefetchReference,
                          ::testing::Range<std::uint64_t>(70, 76));
 
-// --- delay policies: locality memo and refusal records ---------------------------
+// --- delay policies: pending-task index and refusal records -----------------
 
 /// A JobState and a BlockManagerMaster driven the way SimDriver drives
 /// them, plus a long-lived delay policy of each kind. check() asks every
-/// schedulable stage of both long-lived policies, whose locality memo and
-/// refusal records span the whole run, and of policies built afresh;
-/// both must return the same Assignment, or both nullopt.
+/// schedulable stage of both long-lived policies, whose pending-task
+/// indices and refusal records span the whole run, and of policies built
+/// afresh; both must return the same Assignment, or both nullopt. It
+/// also holds a long-lived PendingTaskIndex to a walk of the pending
+/// tasks: every stage's best task on every executor, and its ladder.
 class PolicyHarness {
  public:
   PolicyHarness(const JobDag& dag, const TopologySpec& topo_spec,
@@ -511,6 +514,19 @@ class PolicyHarness {
   std::int64_t refusals_compared() const { return refusals_; }
 
   void check(const char* step) {
+    for (const StageRuntime& rt : state_.stages()) {
+      for (const Executor& e : topo_.executors()) {
+        EXPECT_EQ(index_.best(state_, master_, rt.id, e.id),
+                  best_task_by_scan(*dag_, master_, topo_, rt, e.id))
+            << "index, stage " << rt.id << " exec " << e.id << " after "
+            << step;
+      }
+      const std::span<const Locality> levels =
+          index_.levels(state_, master_, rt.id);
+      EXPECT_EQ(std::vector<Locality>(levels.begin(), levels.end()),
+                valid_locality_levels(*dag_, master_, topo_, rt))
+          << "index, stage " << rt.id << " after " << step;
+    }
     for (const StageId s : state_.schedulable_stages()) {
       compare(native_.find(state_, master_, s, now_),
               NativeDelayPolicy(waits_, cost_).find(state_, master_, s, now_),
@@ -825,6 +841,7 @@ class PolicyHarness {
   LocalityWaits waits_;
   NativeDelayPolicy native_;
   SensitivityAwareDelayPolicy aware_;
+  PendingTaskIndex index_;
   std::vector<Cpus> reserved_;
   std::vector<Attempt> running_;
   std::vector<Attempt> copies_;

@@ -206,6 +206,71 @@ TEST_F(SchedFixture, ValidLocalityLevels) {
   EXPECT_EQ(levels_s3.front(), Locality::NoPref);
 }
 
+/// A master and a JobState over `dag` on a 2-rack, 4-node cluster (one
+/// executor per node), and a PendingTaskIndex held to the scan.
+struct IndexRig {
+  IndexRig(JobDag d, const HdfsSpec& hdfs_spec)
+      : dag(std::move(d)),
+        profile(exact_profile(dag)),
+        topo(spec()),
+        rng(3),
+        hdfs(dag, topo, hdfs_spec, rng),
+        oracle(dag),
+        policy(make_cache_policy(CachePolicyKind::Lru)),
+        master(topo, dag, hdfs, oracle, *policy),
+        state(dag, topo, profile) {}
+
+  static TopologySpec spec() {
+    TopologySpec s;
+    s.racks = 2;
+    s.nodes_per_rack = 2;
+    s.cache_bytes_per_executor = 16 * kMiB;
+    return s;
+  }
+
+  std::optional<TaskPick> best(StageId s, ExecutorId exec) {
+    return index.best(state, master, s, exec);
+  }
+
+  /// For every stage, the index's best task on every executor and its
+  /// ladder equal a walk of the pending tasks. Each check also brings the
+  /// index up to date, so a hook that moves placement without journaling
+  /// the block leaves a stale answer for the next check.
+  void expect_matches(const char* step) {
+    SCOPED_TRACE(step);
+    for (const Stage& s : dag.stages()) {
+      const StageRuntime& rt = state.stage(s.id);
+      for (const Executor& e : topo.executors()) {
+        EXPECT_EQ(best(s.id, e.id),
+                  best_task_by_scan(dag, master, topo, rt, e.id))
+            << "stage " << s.id << " exec " << e.id;
+      }
+      const std::span<const Locality> levels =
+          index.levels(state, master, s.id);
+      EXPECT_EQ(std::vector<Locality>(levels.begin(), levels.end()),
+                valid_locality_levels(dag, master, topo, rt))
+          << "stage " << s.id;
+    }
+  }
+
+  JobDag dag;
+  JobProfile profile;
+  Topology topo;
+  Rng rng;
+  HdfsPlacement hdfs;
+  ReferenceOracle oracle;
+  std::unique_ptr<CachePolicy> policy;
+  BlockManagerMaster master;
+  JobState state;
+  PendingTaskIndex index;
+};
+
+HdfsSpec single_replica() {
+  HdfsSpec spec;
+  spec.replication = 1;
+  return spec;
+}
+
 TEST(LocalityCache, MatchesRecomputeAcrossPlacementHooks) {
   // in (HDFS, partitions 0-1 cached) -narrow-> prep -narrow-> post.
   // prep's output is not cacheable, so producing it only adds a disk
@@ -225,52 +290,18 @@ TEST(LocalityCache, MatchesRecomputeAcrossPlacementHooks) {
                .task_cpus = Cpus{1},
                .task_duration = kSec,
                .output_bytes_per_partition = Bytes{0}});
-  const JobDag dag = b.build();
-  const JobProfile profile = exact_profile(dag);
-  TopologySpec spec;
-  spec.racks = 2;
-  spec.nodes_per_rack = 2;
-  spec.cache_bytes_per_executor = 16 * kMiB;
-  const Topology topo(spec);
-  Rng rng(3);
-  HdfsSpec hdfs_spec;
-  hdfs_spec.replication = 1;
-  const HdfsPlacement hdfs(dag, topo, hdfs_spec, rng);
-  ReferenceOracle oracle(dag);
-  const auto policy = make_cache_policy(CachePolicyKind::Lru);
-  BlockManagerMaster master(topo, dag, hdfs, oracle, *policy);
-  const JobState state(dag, topo, profile);
-  LocalityCache cache;
-
-  // The memo must give what a recompute gives, for every pending (task,
-  // executor) pair and every stage's ladder. Each check also refills the
-  // memo, so a hook that moves placement without journaling the block
-  // leaves a stale answer for the next check.
-  const auto expect_memo_matches = [&](const char* step) {
-    SCOPED_TRACE(step);
-    for (const Stage& s : dag.stages()) {
-      const StageRuntime& rt = state.stage(s.id);
-      for (const std::int32_t index : rt.pending) {
-        for (const Executor& e : topo.executors()) {
-          EXPECT_EQ(cache.locality(dag, master, topo, s.id, index, e.id),
-                    task_locality_on(dag, master, topo, s.id, index, e.id))
-              << "stage " << s.id << " task " << index << " exec " << e.id;
-        }
-      }
-      EXPECT_EQ(cache.levels(dag, master, topo, rt),
-                valid_locality_levels(dag, master, topo, rt))
-          << "stage " << s.id;
-    }
-  };
-  expect_memo_matches("initial");
+  IndexRig rig(b.build(), single_replica());
+  const JobDag& dag = rig.dag;
+  BlockManagerMaster& master = rig.master;
+  rig.expect_matches("initial");
 
   master.seed_initial_cache(SimTime{0});
-  expect_memo_matches("seed_initial_cache");
+  rig.expect_matches("seed_initial_cache");
   const BlockId in0{in, 0};
   const ExecutorId holder = master.memory_holders(in0).at(0);
   // Two seeded blocks leave at least two of the four caches empty.
   std::vector<ExecutorId> empty;
-  for (const Executor& e : topo.executors()) {
+  for (const Executor& e : rig.topo.executors()) {
     if (master.manager(e.id).num_blocks() == 0) empty.push_back(e.id);
   }
   ASSERT_GE(empty.size(), 2u);
@@ -278,71 +309,46 @@ TEST(LocalityCache, MatchesRecomputeAcrossPlacementHooks) {
   const ExecutorId target = empty.back();
 
   master.on_block_produced(BlockId{dag.stage(prep).output, 0}, holder, kSec);
-  expect_memo_matches("on_block_produced");
+  rig.expect_matches("on_block_produced");
 
   const BlockId in2{in, 2};
   master.on_block_read(in2, reader, master.lookup(in2, reader), kSec);
   ASSERT_EQ(master.memory_holders(in2), std::vector<ExecutorId>{reader});
-  expect_memo_matches("on_block_read admit");
+  rig.expect_matches("on_block_read admit");
 
   ASSERT_TRUE(master.drop_memory_block(in2, reader));
-  expect_memo_matches("drop_memory_block");
+  rig.expect_matches("drop_memory_block");
 
   master.set_executor_suspect(holder, true);
-  expect_memo_matches("set_executor_suspect on");
+  rig.expect_matches("set_executor_suspect on");
 
   // prep's output block 0 has its only copy on the suspect.
   EXPECT_EQ(master.rereplicate_suspect_blocks(target).blocks, 1);
-  expect_memo_matches("rereplicate_suspect_blocks");
+  rig.expect_matches("rereplicate_suspect_blocks");
 
   master.set_executor_suspect(holder, false);
-  expect_memo_matches("set_executor_suspect off");
+  rig.expect_matches("set_executor_suspect off");
 
   // target holds one disk copy and no memory copy.
   EXPECT_EQ(master.drop_executor(target).disk_dropped, 1);
-  expect_memo_matches("drop_executor");
+  rig.expect_matches("drop_executor");
 }
 
 TEST(LocalityCache, ResetsEverythingWhenTheJournalDroppedUnreadEntries) {
-  // in (HDFS) -narrow-> scan. The memo learns scan's answers, then misses
-  // more than a full journal of churn that ends with in0 cached on an
-  // executor it was not cached on before.
+  // in (HDFS) -narrow-> scan. The index learns scan's answers, then
+  // misses more than a full journal of churn that ends with in0 cached
+  // on an executor it was not cached on before.
   JobDagBuilder b("churn");
   const RddId in = b.input_rdd("in", 2, kMiB);
-  const StageId scan = b.add_stage({.name = "scan",
-                                    .inputs = {{in, DepKind::Narrow}},
-                                    .num_tasks = 2,
-                                    .task_cpus = Cpus{1},
-                                    .task_duration = kSec,
-                                    .output_bytes_per_partition = Bytes{0}});
-  const JobDag dag = b.build();
-  const JobProfile profile = exact_profile(dag);
-  TopologySpec spec;
-  spec.racks = 2;
-  spec.nodes_per_rack = 2;
-  spec.cache_bytes_per_executor = 16 * kMiB;
-  const Topology topo(spec);
-  Rng rng(3);
-  HdfsSpec hdfs_spec;
-  hdfs_spec.replication = 1;
-  const HdfsPlacement hdfs(dag, topo, hdfs_spec, rng);
-  ReferenceOracle oracle(dag);
-  const auto policy = make_cache_policy(CachePolicyKind::Lru);
-  BlockManagerMaster master(topo, dag, hdfs, oracle, *policy);
-  const JobState state(dag, topo, profile);
-  LocalityCache cache;
-  const auto expect_memo_matches = [&] {
-    for (const std::int32_t index : state.stage(scan).pending) {
-      for (const Executor& e : topo.executors()) {
-        EXPECT_EQ(cache.locality(dag, master, topo, scan, index, e.id),
-                  task_locality_on(dag, master, topo, scan, index, e.id))
-            << "task " << index << " exec " << e.id;
-      }
-    }
-    EXPECT_EQ(cache.levels(dag, master, topo, state.stage(scan)),
-              valid_locality_levels(dag, master, topo, state.stage(scan)));
-  };
-  expect_memo_matches();
+  b.add_stage({.name = "scan",
+               .inputs = {{in, DepKind::Narrow}},
+               .num_tasks = 2,
+               .task_cpus = Cpus{1},
+               .task_duration = kSec,
+               .output_bytes_per_partition = Bytes{0}});
+  IndexRig rig(b.build(), single_replica());
+  BlockManagerMaster& master = rig.master;
+  rig.expect_matches("initial");
 
   const BlockId in0{in, 0};
   const ExecutorId reader(0);
@@ -357,7 +363,136 @@ TEST(LocalityCache, ResetsEverythingWhenTheJournalDroppedUnreadEntries) {
   EXPECT_GT(master.journal_begin(), 0u);
   EXPECT_LE(master.journal_end() - master.journal_begin(),
             BlockManagerMaster::kJournalCap);
-  expect_memo_matches();
+  rig.expect_matches("after the journal dropped entries");
+}
+
+TEST(PendingTaskIndex, RebuildsWhenTheJournalDroppedAnEntryItNeverRead) {
+  // in (HDFS) -narrow-> scan. in1 is cached on exec 3, then a full
+  // journal of churn on in0 pushes that entry out: what is left of the
+  // journal names in0 alone, so replaying it cannot find in1's move.
+  JobDagBuilder b("overflow");
+  const RddId in = b.input_rdd("in", 4, kMiB);
+  const StageId scan = b.add_stage({.name = "scan",
+                                    .inputs = {{in, DepKind::Narrow}},
+                                    .num_tasks = 4,
+                                    .task_cpus = Cpus{1},
+                                    .task_duration = kSec,
+                                    .output_bytes_per_partition = Bytes{0}});
+  IndexRig rig(b.build(), single_replica());
+  BlockManagerMaster& master = rig.master;
+  rig.expect_matches("initial");
+
+  const BlockId in1{in, 1};
+  const ExecutorId cached(3);
+  master.on_block_read(in1, cached, master.lookup(in1, cached), kSec);
+  const std::uint64_t moved_at = master.journal_end() - 1;
+  const BlockId in0{in, 0};
+  const ExecutorId reader(0);
+  while (master.journal_begin() <= moved_at) {
+    master.on_block_read(in0, reader, master.lookup(in0, reader), kSec);
+    ASSERT_TRUE(master.drop_memory_block(in0, reader));
+  }
+  for (std::uint64_t pos = master.journal_begin(); pos < master.journal_end();
+       ++pos) {
+    ASSERT_EQ(master.journal_at(pos), in0);
+  }
+  rig.expect_matches("after the journal dropped in1's entry");
+  EXPECT_EQ(rig.best(scan, cached), (TaskPick{1, Locality::Process}));
+}
+
+TEST(PendingTaskIndex, RequeuedTaskKeepsItsPendingPosition) {
+  // in (HDFS, every block on node 0) -narrow-> scan. Task 0 fails and is
+  // re-queued behind tasks 1-3: still Node-local on node 0, but no longer
+  // first there. Then a memory copy on exec 2 makes it the one
+  // Process-local task there, and once tasks 1-3 launch, the one task
+  // left anywhere.
+  JobDagBuilder b("requeue");
+  const RddId in = b.input_rdd("in", 4, kMiB);
+  const StageId scan = b.add_stage({.name = "scan",
+                                    .inputs = {{in, DepKind::Narrow}},
+                                    .num_tasks = 4,
+                                    .task_cpus = Cpus{1},
+                                    .task_duration = kSec,
+                                    .output_bytes_per_partition = Bytes{0}});
+  HdfsSpec hdfs_spec = single_replica();
+  hdfs_spec.skew = 1.0;
+  hdfs_spec.hot_nodes = 1;
+  IndexRig rig(b.build(), hdfs_spec);
+  for (std::int32_t p = 0; p < 4; ++p) {
+    ASSERT_EQ(rig.master.hdfs_replicas(BlockId{in, p}),
+              std::vector<NodeId>{NodeId(0)});
+  }
+  JobState& state = rig.state;
+  rig.expect_matches("initial");
+  EXPECT_EQ(rig.best(scan, ExecutorId(0)), (TaskPick{0, Locality::Node}));
+
+  state.mark_launched(scan, 0, ExecutorId(3), SimTime{0});
+  rig.expect_matches("launch");
+  state.mark_failed(scan, 0);
+  state.readd_pending(scan, 0);
+  ASSERT_EQ(state.stage(scan).pending.front(), 1);
+  rig.expect_matches("re-queue");
+  EXPECT_EQ(rig.best(scan, ExecutorId(0)), (TaskPick{1, Locality::Node}));
+
+  const BlockId in0{in, 0};
+  const ExecutorId cached(2);
+  rig.master.on_block_read(in0, cached, rig.master.lookup(in0, cached), kSec);
+  rig.expect_matches("placement improves");
+  EXPECT_EQ(rig.best(scan, cached), (TaskPick{0, Locality::Process}));
+
+  for (const std::int32_t t : {1, 2, 3}) {
+    state.mark_launched(scan, t, ExecutorId(1), kSec);
+  }
+  rig.expect_matches("later tasks launch");
+  EXPECT_EQ(rig.best(scan, ExecutorId(0)), (TaskPick{0, Locality::Node}));
+}
+
+TEST(PendingTaskIndex, RanksNoPrefBetweenNodeAndRack) {
+  // in (HDFS, every block on node 0) -narrow-> prep -narrow-> post. Only
+  // prep's tasks 0 and 1 have run, so post's tasks 2 and 3 read blocks
+  // that exist nowhere: NoPref, which beats Rack and Any but not Node.
+  // Their producers keep a memory copy and a disk copy on their node;
+  // once both producers are suspected, the memory copies grant nothing.
+  JobDagBuilder b("nopref");
+  const RddId in = b.input_rdd("in", 4, kMiB);
+  const StageId prep = b.add_stage({.name = "prep",
+                                    .inputs = {{in, DepKind::Narrow}},
+                                    .num_tasks = 4,
+                                    .task_cpus = Cpus{1},
+                                    .task_duration = kSec,
+                                    .output_bytes_per_partition = kMiB});
+  const StageId post = b.add_stage({.name = "post",
+                                    .inputs = {{b.output_of(prep),
+                                                DepKind::Narrow}},
+                                    .num_tasks = 4,
+                                    .task_cpus = Cpus{1},
+                                    .task_duration = kSec,
+                                    .output_bytes_per_partition = Bytes{0}});
+  HdfsSpec hdfs_spec = single_replica();
+  hdfs_spec.skew = 1.0;
+  hdfs_spec.hot_nodes = 1;
+  IndexRig rig(b.build(), hdfs_spec);
+  BlockManagerMaster& master = rig.master;
+  const RddId mid = rig.dag.stage(prep).output;
+  rig.expect_matches("initial");
+  // Every post task is NoPref while none of its blocks exists.
+  EXPECT_EQ(rig.best(post, ExecutorId(0)), (TaskPick{0, Locality::NoPref}));
+
+  master.on_block_produced(BlockId{mid, 0}, ExecutorId(0), kSec);
+  master.on_block_produced(BlockId{mid, 1}, ExecutorId(3), kSec);
+  rig.expect_matches("tasks 0 and 1 produced");
+  // exec 1 shares exec 0's rack: task 0 is Rack-local there, task 2 NoPref.
+  EXPECT_EQ(rig.best(post, ExecutorId(1)), (TaskPick{2, Locality::NoPref}));
+  EXPECT_EQ(rig.best(post, ExecutorId(0)), (TaskPick{0, Locality::Process}));
+  EXPECT_EQ(rig.best(post, ExecutorId(3)), (TaskPick{1, Locality::Process}));
+
+  master.set_executor_suspect(ExecutorId(0), true);
+  master.set_executor_suspect(ExecutorId(3), true);
+  rig.expect_matches("producers suspected");
+  EXPECT_EQ(rig.best(post, ExecutorId(0)), (TaskPick{0, Locality::Node}));
+  EXPECT_EQ(rig.best(post, ExecutorId(3)), (TaskPick{1, Locality::Node}));
+  EXPECT_EQ(rig.best(post, ExecutorId(1)), (TaskPick{2, Locality::NoPref}));
+  EXPECT_EQ(rig.index.levels(rig.state, master, post).front(), Locality::Node);
 }
 
 // --- estimator ---------------------------------------------------------------
