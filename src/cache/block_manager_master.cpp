@@ -81,6 +81,16 @@ BlockManagerMaster::BlockManagerMaster(const Topology& topo,
       count_disk_copies(BlockId{rdd.id, p}, 1);
     }
   }
+  // Last, so a constructor that throws leaves no hook behind.
+  if (prefetching_) {
+    oracle.set_reference_hook([this](const BlockId& block, bool referenced) {
+      reference_changed(block, referenced);
+    });
+  }
+}
+
+BlockManagerMaster::~BlockManagerMaster() {
+  if (prefetching_) oracle_->clear_reference_hook();
 }
 
 BlockManagerMaster::ShuffleCounts* BlockManagerMaster::tracked_counts(
@@ -125,14 +135,14 @@ template <class Change>
 void BlockManagerMaster::change_disk_nodes(const BlockId& block,
                                            Change&& change) {
   const std::size_t o = ord(block);
-  // A flagged block leaves the per-node candidate index for its old
+  // An indexed block leaves the per-node candidate index for its old
   // disk-holder set and rejoins it for the new one.
-  const bool was_pf = prefetchable_[o] != 0;
-  if (was_pf) unindex_prefetchable(block);
+  const bool was_indexed = indexed(block);
+  if (was_indexed) unindex_prefetchable(block);
   count_disk_copies(block, -1);
   change(produced_disk_[o]);
   count_disk_copies(block, 1);
-  if (was_pf) index_prefetchable(block);
+  if (was_indexed) index_prefetchable(block);
   journal(block);
 }
 
@@ -165,14 +175,23 @@ void BlockManagerMaster::add_prefetchable(const BlockId& block) {
   char& flag = prefetchable_[ord(block)];
   if (flag != 0) return;
   flag = 1;
-  index_prefetchable(block);
+  if (oracle_->remaining_ref_count(block) > 0) index_prefetchable(block);
 }
 
 void BlockManagerMaster::remove_prefetchable(const BlockId& block) {
-  char& flag = prefetchable_[ord(block)];
-  if (flag == 0) return;
-  flag = 0;
-  unindex_prefetchable(block);
+  const bool was_indexed = indexed(block);
+  prefetchable_[ord(block)] = 0;
+  if (was_indexed) unindex_prefetchable(block);
+}
+
+void BlockManagerMaster::reference_changed(const BlockId& block,
+                                           bool referenced) {
+  if (prefetchable_[ord(block)] == 0) return;
+  if (referenced) {
+    index_prefetchable(block);
+  } else {
+    unindex_prefetchable(block);
+  }
 }
 
 void BlockManagerMaster::set_residency(const BlockId& block,

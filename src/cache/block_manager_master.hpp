@@ -29,9 +29,15 @@ class BlockManagerMaster {
  public:
   /// `cache_enabled = false` models the paper's caching-disabled ablation
   /// (Fig. 9/10): no block is ever admitted to memory.
+  /// A master that prefetches installs `oracle`'s reference hook (see
+  /// the prefetch candidate index) and removes it on destruction, so
+  /// `oracle` must outlive it and serve no other prefetching master.
   BlockManagerMaster(const Topology& topo, const JobDag& dag,
                      const HdfsPlacement& hdfs, ReferenceOracle& oracle,
                      const CachePolicy& policy, bool cache_enabled = true);
+  ~BlockManagerMaster();
+  BlockManagerMaster(const BlockManagerMaster&) = delete;
+  BlockManagerMaster& operator=(const BlockManagerMaster&) = delete;
 
   /// Seeds memory with the DAG's initially-cached input partitions (the
   /// black blocks of Fig. 1): each goes to the first executor of its
@@ -289,15 +295,25 @@ class BlockManagerMaster {
   // -- prefetch candidate index -------------------------------------------
   // prefetchable_[o] flags blocks that are cacheable, durably on disk,
   // and in no executor's memory; prefetch_by_node_[n] holds exactly the
-  // flagged blocks with a disk copy (HDFS or produced) on node n, so a
-  // ranking visits only the node-local subset. Nothing is flagged
-  // unless prefetches(). Invariant: flagged ⟺ indexed under every
-  // current disk-holder node; change_disk_nodes keeps it across every
-  // change of a block's disk-node set.
+  // flagged blocks that are also referenced (a live stage will still
+  // read them: oracle remaining_ref_count > 0) and have a disk copy
+  // (HDFS or produced) on node n, so a ranking visits only the
+  // node-local blocks that can rank at all: an unreferenced block has
+  // no prefetch priority under MRD or LRP. Nothing is flagged unless
+  // prefetches(). Invariant: flagged and referenced ⟺ indexed under
+  // every current disk-holder node. change_disk_nodes keeps it across
+  // every change of a block's disk-node set, add/remove_prefetchable
+  // across flag changes, and reference_changed — the oracle's
+  // reference hook — across every zero crossing of a live count.
+  [[nodiscard]] bool indexed(const BlockId& block) const {
+    return prefetchable_[ord(block)] != 0 &&
+           oracle_->remaining_ref_count(block) > 0;
+  }
   void index_prefetchable(const BlockId& block);
   void unindex_prefetchable(const BlockId& block);
   void add_prefetchable(const BlockId& block);
   void remove_prefetchable(const BlockId& block);
+  void reference_changed(const BlockId& block, bool referenced);
 
   const Topology* topo_;
   const JobDag* dag_;

@@ -1,30 +1,39 @@
 #include "cache/ref_oracle.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/error.hpp"
 #include "dag/priority_values.hpp"
 
 namespace dagon {
 
-ReferenceOracle::ReferenceOracle(const JobDag& dag) : dag_(&dag) {
+ReferenceOracle::ReferenceOracle(const JobDag& dag,
+                                 const std::vector<StageId>& inactive)
+    : dag_(&dag) {
   finished_.assign(dag.num_stages(), false);
   active_.assign(dag.num_stages(), 1);
+  for (const StageId s : inactive) active_[stage_slot(s)] = 0;
   pv_ = PriorityValues(dag).values();
   refs_.resize(static_cast<std::size_t>(dag.num_blocks()));
+  live_count_.assign(static_cast<std::size_t>(dag.num_blocks()), 0);
   shuffle_first_.reserve(dag.num_stages() + 1);
   // Stages are visited in ascending id order, so every block's list is
   // born sorted by stage. JobDagBuilder allows one edge per (stage,
-  // parent), so each (block, stage) pair gets one record.
+  // parent), so each (block, stage) pair gets one record. A record is
+  // born live when its stage is active and has a task to launch.
   for (const Stage& s : dag.stages()) {
     shuffle_first_.push_back(
         static_cast<std::int32_t>(shuffle_remaining_.size()));
+    const std::int32_t live = stage_live(s.id) && s.num_tasks > 0 ? 1 : 0;
     for (const RddRef& ref : s.inputs) {
       const Rdd& parent = dag.rdd(ref.rdd);
       if (ref.kind == DepKind::Narrow) {
         // Block k is read by exactly task k.
         for (std::int32_t t = 0; t < s.num_tasks; ++t) {
-          refs_of(BlockId{ref.rdd, t}).push_back(Ref{s.id, 1});
+          const BlockId block{ref.rdd, t};
+          refs_of(block).push_back(Ref{s.id, 1});
+          live_count_[ord(block)] += live;
         }
       } else {
         // Every task pulls a slice of every parent block: the blocks'
@@ -33,13 +42,31 @@ ReferenceOracle::ReferenceOracle(const JobDag& dag) : dag_(&dag) {
             static_cast<std::int32_t>(shuffle_remaining_.size());
         shuffle_remaining_.push_back(s.num_tasks);
         for (std::int32_t p = 0; p < parent.num_partitions; ++p) {
-          refs_of(BlockId{ref.rdd, p}).push_back(Ref{s.id, ~counter});
+          const BlockId block{ref.rdd, p};
+          refs_of(block).push_back(Ref{s.id, ~counter});
+          live_count_[ord(block)] += live;
         }
       }
     }
   }
   shuffle_first_.push_back(
       static_cast<std::int32_t>(shuffle_remaining_.size()));
+}
+
+std::size_t ReferenceOracle::stage_slot(StageId stage) const {
+  DAGON_CHECK(stage.valid() &&
+              static_cast<std::size_t>(stage.value()) < finished_.size());
+  return static_cast<std::size_t>(stage.value());
+}
+
+std::int32_t& ReferenceOracle::narrow_count(const BlockId& block,
+                                            StageId stage) {
+  auto& refs = refs_of(block);
+  const auto it = std::find_if(refs.begin(), refs.end(),
+                               [&](const Ref& r) { return r.stage == stage; });
+  DAGON_CHECK_MSG(it != refs.end(),
+                  "stage " << stage << " has no record on block " << block);
+  return it->count;
 }
 
 template <class Fn>
@@ -54,14 +81,42 @@ void ReferenceOracle::for_each_task_count(StageId stage, std::int32_t task,
     const bool shuffle = ref.kind == DepKind::Shuffle;
     std::int32_t* shared = shuffle ? &shuffle_remaining_[counter++] : nullptr;
     if (dag_->rdd(ref.rdd).bytes_per_partition <= Bytes{0}) continue;
-    if (shuffle) {
-      fn(*shared);
+    fn(shuffle ? *shared : narrow_count(BlockId{ref.rdd, task}, stage), ref);
+  }
+}
+
+void ReferenceOracle::move_live(const BlockId& block, std::int32_t delta) {
+  std::int32_t& count = live_count_[ord(block)];
+  const bool was = count > 0;
+  count += delta;
+  DAGON_CHECK(count >= 0);
+  if (hook_ && (count > 0) != was) hook_(block, count > 0);
+}
+
+void ReferenceOracle::move_edge(const RddRef& edge, std::int32_t task,
+                                std::int32_t delta) {
+  if (edge.kind == DepKind::Narrow) {
+    move_live(BlockId{edge.rdd, task}, delta);
+    return;
+  }
+  const std::int32_t parts = dag_->rdd(edge.rdd).num_partitions;
+  for (std::int32_t p = 0; p < parts; ++p) {
+    move_live(BlockId{edge.rdd, p}, delta);
+  }
+}
+
+void ReferenceOracle::move_stage(StageId stage, std::int32_t delta) {
+  const Stage& s = dag_->stage(stage);
+  auto counter = static_cast<std::size_t>(
+      shuffle_first_[static_cast<std::size_t>(stage.value())]);
+  for (const RddRef& edge : s.inputs) {
+    if (edge.kind == DepKind::Shuffle) {
+      if (shuffle_remaining_[counter++] > 0) move_edge(edge, 0, delta);
       continue;
     }
-    for (Ref& r : refs_of(BlockId{ref.rdd, task})) {
-      if (r.stage == stage) {
-        fn(r.count);
-        break;
+    for (std::int32_t t = 0; t < s.num_tasks; ++t) {
+      if (narrow_count(BlockId{edge.rdd, t}, stage) > 0) {
+        move_edge(edge, t, delta);
       }
     }
   }
@@ -69,25 +124,38 @@ void ReferenceOracle::for_each_task_count(StageId stage, std::int32_t task,
 
 void ReferenceOracle::on_task_launched(StageId stage, std::int32_t task) {
   ++epoch_;
-  for_each_task_count(stage, task, [](std::int32_t& count) {
-    if (count > 0) --count;
-  });
+  const bool live = stage_live(stage);
+  for_each_task_count(stage, task,
+                      [&](std::int32_t& count, const RddRef& edge) {
+                        if (count <= 0) return;
+                        // The last reading task of a live record launched.
+                        if (--count == 0 && live) move_edge(edge, task, -1);
+                      });
 }
 
 void ReferenceOracle::mark_stage_finished(StageId stage) {
-  DAGON_CHECK(stage.valid() &&
-              static_cast<std::size_t>(stage.value()) < finished_.size());
+  const std::size_t i = stage_slot(stage);
   ++epoch_;
-  finished_[static_cast<std::size_t>(stage.value())] = true;
+  if (finished_[i]) return;
+  const bool was_live = stage_live(stage);
+  finished_[i] = true;
+  if (was_live) move_stage(stage, -1);
 }
 
 void ReferenceOracle::restore_task_refs(StageId stage, std::int32_t task) {
-  DAGON_CHECK(stage.valid() &&
-              static_cast<std::size_t>(stage.value()) < finished_.size());
+  const std::size_t i = stage_slot(stage);
   ++epoch_;
-  finished_[static_cast<std::size_t>(stage.value())] = false;
+  // The counts move while the stage's liveness holds still; un-finishing
+  // it afterwards revives every record with a reading task left, the
+  // restored ones included.
+  const bool live = stage_live(stage);
   for_each_task_count(stage, task,
-                      [](std::int32_t& count) { ++count; });
+                      [&](std::int32_t& count, const RddRef& edge) {
+                        if (++count == 1 && live) move_edge(edge, task, 1);
+                      });
+  if (!finished_[i]) return;
+  finished_[i] = false;
+  if (stage_live(stage)) move_stage(stage, 1);
 }
 
 void ReferenceOracle::set_priority_values(const std::vector<CpuWork>& pv) {
@@ -103,13 +171,17 @@ void ReferenceOracle::set_current_stage(StageId stage) {
 }
 
 void ReferenceOracle::set_stage_active(StageId stage, bool stage_on) {
-  DAGON_CHECK(stage.valid() &&
-              static_cast<std::size_t>(stage.value()) < active_.size());
-  auto& slot = active_[static_cast<std::size_t>(stage.value())];
+  const std::size_t i = stage_slot(stage);
   const char next = stage_on ? 1 : 0;
-  if (slot == next) return;
+  if (active_[i] == next) return;
   ++epoch_;
-  slot = next;
+  active_[i] = next;
+  if (!finished_[i]) move_stage(stage, stage_on ? 1 : -1);
+}
+
+void ReferenceOracle::set_reference_hook(ReferenceHook hook) {
+  DAGON_CHECK_MSG(!hook_, "a reference hook is already installed");
+  hook_ = std::move(hook);
 }
 
 void ReferenceOracle::enable_peer_tracking() {
@@ -188,10 +260,17 @@ int ReferenceOracle::effective_ref_count(const BlockId& block) const {
 }
 
 int ReferenceOracle::remaining_ref_count(const BlockId& block) const {
-  int count = 0;
+  const std::int32_t count = live_count_[ord(block)];
+#ifndef NDEBUG
+  // Debug builds hold the live count to a walk of the block's records.
+  int walked = 0;
   for (const Ref& r : refs_of(block)) {
-    if (live(r)) ++count;
+    if (live(r)) ++walked;
   }
+  DAGON_CHECK_MSG(walked == count, "block " << block << " has live count "
+                                            << count << ", its records "
+                                            << walked);
+#endif
   return count;
 }
 
@@ -226,15 +305,11 @@ std::vector<StageId> ReferenceOracle::live_readers(
 }
 
 bool ReferenceOracle::stage_finished(StageId stage) const {
-  DAGON_CHECK(stage.valid() &&
-              static_cast<std::size_t>(stage.value()) < finished_.size());
-  return finished_[static_cast<std::size_t>(stage.value())];
+  return finished_[stage_slot(stage)];
 }
 
 CpuWork ReferenceOracle::priority_value(StageId stage) const {
-  DAGON_CHECK(stage.valid() &&
-              static_cast<std::size_t>(stage.value()) < pv_.size());
-  return pv_[static_cast<std::size_t>(stage.value())];
+  return pv_[stage_slot(stage)];
 }
 
 }  // namespace dagon

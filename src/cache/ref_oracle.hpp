@@ -19,12 +19,24 @@
 // by every block of the parent, because each of its tasks reads them
 // all, so a launch moves one counter per shuffle edge (DESIGN.md §12).
 //
+// Each block also carries its live count: the number of its (block,
+// reader stage) records whose stage is unfinished and active and still
+// has a reading task to launch. The four updates that can change a
+// record's liveness keep it — a launch consuming a narrow count or
+// emptying a shuffle edge's counter, a stage finishing, a lineage
+// reopen (un-finishing the stage), and a gate flip — so
+// remaining_ref_count() is O(1). Every time a count crosses zero the
+// oracle tells one hook (set_reference_hook), which is how
+// BlockManagerMaster keeps its prefetch index to referenced blocks.
+// Debug builds hold each answer to a walk of the block's records.
+//
 // Online serving extends the same structure across jobs. The merged
 // serving DAG contains every job's stages, so one oracle aggregates
 // remaining references over all of them; stages of jobs that have not
-// *arrived* yet are marked inactive (set_stage_active) and hold no live
-// references until their JobSubmit fires — a cache policy only ever
-// sees demand from jobs the cluster actually knows about. The LERC
+// *arrived* yet are inactive (the driver names them to the constructor,
+// and set_stage_active switches them on when their JobSubmit fires) and
+// hold no live references until then — a cache policy only ever sees
+// demand from jobs the cluster actually knows about. The LERC
 // policy (arXiv:1708.07941) additionally needs peer-group state: a
 // consumer task's peers are the cacheable blocks it reads together (for
 // narrow deps, partition p of every cacheable parent), and a hit is
@@ -38,6 +50,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <vector>
 
@@ -51,7 +64,10 @@ class ReferenceOracle {
   /// Distance value meaning "no unfinished stage will ever read this".
   static constexpr int kNeverUsed = std::numeric_limits<int>::max();
 
-  explicit ReferenceOracle(const JobDag& dag);
+  /// Stages listed in `inactive` start inactive (serving: jobs not
+  /// submitted yet); every other stage starts active.
+  explicit ReferenceOracle(const JobDag& dag,
+                           const std::vector<StageId>& inactive = {});
 
   // -- updates streamed from the scheduler / simulation ------------------
 
@@ -83,6 +99,16 @@ class ReferenceOracle {
   /// only see demand from submitted jobs. Stages default to active.
   void set_stage_active(StageId stage, bool active);
 
+  /// Called with each block whose live count (remaining_ref_count)
+  /// crosses zero: `referenced` is true when it rose from zero, false
+  /// when it fell to zero. It runs inside the update, so it must not
+  /// query or update the oracle.
+  using ReferenceHook = std::function<void(const BlockId& block,
+                                           bool referenced)>;
+  /// Installs the one hook; throws InvariantError if one is installed.
+  void set_reference_hook(ReferenceHook hook);
+  void clear_reference_hook() { hook_ = nullptr; }
+
   // -- LERC peer groups (effective-cache-hit management) -----------------
 
   /// Builds the per-task peer-group counters (for every consumer task,
@@ -113,7 +139,8 @@ class ReferenceOracle {
 
   // -- queries ------------------------------------------------------------
 
-  /// Number of live stage references on `block` (LRC's count).
+  /// Number of live stage references on `block` (LRC's count). O(1):
+  /// the block's live count.
   [[nodiscard]] int remaining_ref_count(const BlockId& block) const;
 
   /// MRD's stage reference distance: (next live reader's stage id) −
@@ -125,7 +152,8 @@ class ReferenceOracle {
   /// none (inactive data, proactively evictable).
   [[nodiscard]] CpuWork reference_priority(const BlockId& block) const;
 
-  /// Stages still holding a live reference on `block`.
+  /// Stages still holding a live reference on `block`, from a walk of
+  /// its records.
   [[nodiscard]] std::vector<StageId> live_readers(const BlockId& block) const;
 
   [[nodiscard]] bool stage_finished(StageId stage) const;
@@ -151,33 +179,63 @@ class ReferenceOracle {
   };
   static_assert(sizeof(Ref) == 8);
 
+  [[nodiscard]] std::size_t ord(const BlockId& block) const {
+    return static_cast<std::size_t>(dag_->block_ord(block));
+  }
   [[nodiscard]] const std::vector<Ref>& refs_of(const BlockId& block) const {
-    return refs_[static_cast<std::size_t>(dag_->block_ord(block))];
+    return refs_[ord(block)];
   }
   [[nodiscard]] std::vector<Ref>& refs_of(const BlockId& block) {
-    return refs_[static_cast<std::size_t>(dag_->block_ord(block))];
+    return refs_[ord(block)];
   }
+  /// `stage`'s index into the per-stage arrays; throws InvariantError
+  /// if it names no stage of the DAG.
+  [[nodiscard]] std::size_t stage_slot(StageId stage) const;
   /// Reading tasks of `ref`'s stage that have not launched yet.
   [[nodiscard]] std::int32_t remaining(const Ref& ref) const {
     return ref.count >= 0
                ? ref.count
                : shuffle_remaining_[static_cast<std::size_t>(~ref.count)];
   }
-  [[nodiscard]] bool live(const Ref& ref) const {
-    return remaining(ref) > 0 && !stage_finished(ref.stage) &&
-           active_[static_cast<std::size_t>(ref.stage.value())] != 0;
+  /// Unfinished and active: the stage's records with a reading task
+  /// left are live.
+  [[nodiscard]] bool stage_live(StageId stage) const {
+    const std::size_t i = stage_slot(stage);
+    return !finished_[i] && active_[i] != 0;
   }
-  /// Calls `fn(std::int32_t& count)` on each count task `task` of
-  /// `stage` moves: the block's record for a narrow edge, the shared
-  /// counter for a shuffle edge. Zero-byte parents are skipped: no task
-  /// reads them, so their references last until the stage finishes.
+  [[nodiscard]] bool live(const Ref& ref) const {
+    return remaining(ref) > 0 && stage_live(ref.stage);
+  }
+  /// `stage`'s narrow record on `block`.
+  [[nodiscard]] std::int32_t& narrow_count(const BlockId& block,
+                                           StageId stage);
+  /// Calls `fn(std::int32_t& count, const RddRef& edge)` on each count
+  /// task `task` of `stage` moves: the block's record for a narrow edge,
+  /// the shared counter for a shuffle edge. Zero-byte parents are
+  /// skipped: no task reads them, so their references last until the
+  /// stage finishes.
   template <class Fn>
   void for_each_task_count(StageId stage, std::int32_t task, Fn&& fn);
+  /// Adds `delta` to the live count of every block `edge` of a stage
+  /// reads in one record: block `task` of a narrow edge, every block of
+  /// a shuffle edge.
+  void move_edge(const RddRef& edge, std::int32_t task, std::int32_t delta);
+  /// Adds `delta` to the live count of every block on which `stage`'s
+  /// record has a reading task left: `stage` just became live (+1) or
+  /// stopped being live (-1).
+  void move_stage(StageId stage, std::int32_t delta);
+  /// Adds `delta` to `block`'s live count and tells the hook when the
+  /// count crosses zero.
+  void move_live(const BlockId& block, std::int32_t delta);
 
   const JobDag* dag_;
   /// Per-stage reference records (ascending stage id), indexed by dense
   /// block ordinal (JobDag::block_ord); empty for unreferenced blocks.
   std::vector<std::vector<Ref>> refs_;
+  /// Live records per block ordinal: always the count of refs_[o]'s
+  /// records for which live() holds.
+  std::vector<std::int32_t> live_count_;
+  ReferenceHook hook_;
   /// One remaining-task counter per shuffle edge, in stage order and,
   /// within a stage, input order; shuffle_first_[s] is stage s's first.
   std::vector<std::int32_t> shuffle_remaining_;

@@ -21,6 +21,16 @@ namespace {
 /// draw from it at all.
 constexpr std::uint64_t kTierRngStream = 0x7165;
 
+/// Every serving job's stages: each job starts gated, and run() ungates
+/// the submit-at-0 jobs before the first schedule pass.
+std::vector<StageId> serving_stages(const SimConfig& config) {
+  std::vector<StageId> stages;
+  for (const SimConfig::ServingJob& job : config.serving.jobs) {
+    stages.insert(stages.end(), job.stages.begin(), job.stages.end());
+  }
+  return stages;
+}
+
 }  // namespace
 
 SimDriver::SimDriver(const JobDag& dag, const JobProfile& profile,
@@ -32,7 +42,7 @@ SimDriver::SimDriver(const JobDag& dag, const JobProfile& profile,
       rng_(config.seed),
       cost_(config.cost),
       hdfs_(dag, topo_, config.hdfs, rng_),
-      oracle_(dag),
+      oracle_(dag, serving_stages(config)),
       policy_(make_cache_policy(config.cache)),
       master_(topo_, dag, hdfs_, oracle_, *policy_, config.cache_enabled),
       state_(dag, topo_, profile_),
@@ -98,10 +108,10 @@ SimDriver::SimDriver(const JobDag& dag, const JobProfile& profile,
       for (const StageId s : job.stages) {
         stage_job_[static_cast<std::size_t>(s.value())] =
             static_cast<std::int32_t>(j);
-        // Every job starts gated; run() ungates submit-at-0 jobs before
-        // the first schedule pass and queues JobSubmit for the rest.
+        // Every job starts gated (in the oracle too, from its
+        // constructor); run() ungates submit-at-0 jobs before the first
+        // schedule pass and queues JobSubmit for the rest.
         state_.set_stage_gated(s, true);
-        oracle_.set_stage_active(s, false);
       }
     }
   }
@@ -1006,7 +1016,7 @@ void SimDriver::handle_executor_crash(ExecutorId exec, SimTime now) {
   metrics_.faults.blocks_fully_lost +=
       static_cast<std::int64_t>(drop.lost.size());
   for (const BlockId& block : drop.lost) {
-    if (!oracle_.live_readers(block).empty()) recover_block(block, now);
+    if (oracle_.remaining_ref_count(block) > 0) recover_block(block, now);
   }
   // Stages whose parents were re-opened must wait for the recompute.
   state_.demote_unready();

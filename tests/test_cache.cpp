@@ -534,6 +534,47 @@ TEST_F(MasterFixture, PrefetchCandidatePicksHighestPriorityLocalBlock) {
             BlockSource::LocalMemory);
 }
 
+TEST_F(MasterFixture, PrefetchFollowsLiveReferences) {
+  // C is read by S2 alone, task k reading block k (narrow).
+  const StageId s2(1);
+  const auto c_choices = [&] {
+    std::vector<BlockId> out;
+    for (const Executor& e : topo_.executors()) {
+      const auto choice = master_.prefetch_candidate(e.id);
+      if (choice && choice->block.rdd == C(0).rdd) out.push_back(choice->block);
+    }
+    return out;
+  };
+  EXPECT_FALSE(c_choices().empty());
+  // Every S2 task launched and S2 finished: no C block has a reader left.
+  for (int t = 0; t < 3; ++t) oracle_.on_task_launched(s2, t);
+  oracle_.mark_stage_finished(s2);
+  EXPECT_TRUE(c_choices().empty());
+  // Lineage reopens S2's task 1: C1, and only C1, is wanted again, and
+  // its priority (pv2 = 64) beats every A block's (pv1 = 52).
+  oracle_.restore_task_refs(s2, 1);
+  EXPECT_EQ(c_choices(), std::vector<BlockId>{C(1)});
+  const ExecutorId exec = topo_.node(hdfs_.replicas(C(1))[0]).executors[0];
+  const auto choice = master_.prefetch_candidate(exec);
+  ASSERT_TRUE(choice.has_value());
+  EXPECT_EQ(choice->block, C(1));
+}
+
+TEST_F(MasterFixture, OnePrefetchingMasterPerOracle) {
+  ReferenceOracle oracle(dag());
+  {
+    const BlockManagerMaster first(topo_, dag(), hdfs_, oracle, *policy_);
+    EXPECT_THROW(BlockManagerMaster(topo_, dag(), hdfs_, oracle, *policy_),
+                 InvariantError);
+    // A master that does not prefetch installs no hook.
+    const auto lru = make_cache_policy(CachePolicyKind::Lru);
+    const BlockManagerMaster plain(topo_, dag(), hdfs_, oracle, *lru);
+  }
+  // The first master removed its hook when it was destroyed.
+  const BlockManagerMaster again(topo_, dag(), hdfs_, oracle, *policy_);
+  EXPECT_TRUE(again.prefetches());
+}
+
 TEST_F(MasterFixture, PrefetchSkipsBlocksAlreadyInMemory) {
   master_.seed_initial_cache(SimTime{0});
   for (const Executor& e : topo_.executors()) {

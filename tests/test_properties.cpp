@@ -332,8 +332,10 @@ std::optional<BlockId> reference_prefetch(const JobDag& dag,
 
 /// Drives one master over `dag` through every placement hook, in a
 /// seeded random order, and after each step compares prefetch_candidate
-/// with the reference for every executor (dead ones included). Adds the
-/// number of non-empty choices compared to `*chosen`.
+/// with the reference for every executor (dead ones included). Blocks
+/// also leave the candidate index and return through the oracle: a
+/// lineage reopen of a finished stage's task, and a stage gated off and
+/// on. Adds the number of non-empty choices compared to `*chosen`.
 void drive_and_compare(const JobDag& dag, CachePolicyKind kind,
                        std::uint64_t seed, std::int64_t* chosen) {
   Bytes largest{};
@@ -386,6 +388,7 @@ void drive_and_compare(const JobDag& dag, CachePolicyKind kind,
   SimTime now{};
   master.seed_initial_cache(now);
   check("seed_initial_cache");
+  std::vector<StageId> finished;
   for (const StageId s : dag.topological_order()) {
     oracle.set_current_stage(s);
     std::vector<CpuWork> pv(dag.num_stages());
@@ -428,6 +431,30 @@ void drive_and_compare(const JobDag& dag, CachePolicyKind kind,
     oracle.mark_stage_finished(s);
     (void)master.proactive_sweep();
     check("proactive_sweep");
+    finished.push_back(s);
+    if (rng.bernoulli(0.5)) {
+      // A lineage reopen: a finished stage's task runs again, so its
+      // inputs are referenced until the rerun launches.
+      const StageId r = finished[static_cast<std::size_t>(
+          rng.uniform_int(static_cast<std::int64_t>(finished.size())))];
+      const auto t = static_cast<std::int32_t>(
+          rng.uniform_int(dag.stage(r).num_tasks));
+      oracle.restore_task_refs(r, t);
+      check("restore_task_refs");
+      oracle.on_task_launched(r, t);
+      oracle.mark_stage_finished(r);
+      check("relaunch");
+    }
+    if (rng.bernoulli(0.5)) {
+      // A stage gated off and on, as a serving job's stages are until it
+      // is submitted.
+      const StageId g(static_cast<std::int32_t>(
+          rng.uniform_int(static_cast<std::int64_t>(dag.num_stages()))));
+      oracle.set_stage_active(g, false);
+      check("set_stage_active(false)");
+      oracle.set_stage_active(g, true);
+      check("set_stage_active(true)");
+    }
     if (rng.bernoulli(0.4)) {
       // A gray failure: suspicion, re-replication onto a healthy
       // executor, then either recovery or death.
@@ -1080,7 +1107,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, OracleInvariants,
 /// cacheable and non-cacheable inputs, some with initially cached
 /// partitions; narrow and shuffle edges, several per stage; cacheable and
 /// non-cacheable outputs; and zero-byte outputs, which no task reads.
-JobDag random_read_dag(Rng& rng) {
+/// With `zero_byte_parent`, the first stage's output has zero bytes and
+/// every later stage reads it.
+JobDag random_read_dag(Rng& rng, bool zero_byte_parent = false) {
   JobDagBuilder b("reads");
   struct Made {
     RddId rdd;
@@ -1091,7 +1120,8 @@ JobDag random_read_dag(Rng& rng) {
     return static_cast<std::int32_t>(rng.uniform_range(1, 5));
   };
   const auto bytes = [&] { return rng.uniform_range(1, 4) * kMiB; };
-  for (int i = 0; i < 3; ++i) {
+  constexpr std::size_t kInputs = 3;
+  for (std::size_t i = 0; i < kInputs; ++i) {
     const std::int32_t n = parts();
     const RddId in =
         b.input_rdd("in" + std::to_string(i), n, bytes(),
@@ -1103,8 +1133,11 @@ JobDag random_read_dag(Rng& rng) {
   for (std::int64_t s = 0; s < num_stages; ++s) {
     const std::int32_t tasks = parts();
     std::vector<RddRef> inputs;
-    for (const Made& m : made) {
-      if (!rng.bernoulli(0.4)) continue;
+    for (std::size_t i = 0; i < made.size(); ++i) {
+      const Made& m = made[i];
+      // made[kInputs] is the first stage's output.
+      const bool forced = zero_byte_parent && i == kInputs;
+      if (!forced && !rng.bernoulli(0.4)) continue;
       const bool narrow = m.parts == tasks && rng.bernoulli(0.5);
       inputs.push_back({m.rdd, narrow ? DepKind::Narrow : DepKind::Shuffle});
     }
@@ -1114,7 +1147,9 @@ JobDag random_read_dag(Rng& rng) {
          .num_tasks = tasks,
          .task_cpus = Cpus{1},
          .task_duration = kSec,
-         .output_bytes_per_partition = rng.bernoulli(0.2) ? Bytes{0} : bytes(),
+         .output_bytes_per_partition =
+             rng.bernoulli(0.2) || (zero_byte_parent && s == 0) ? Bytes{0}
+                                                                : bytes(),
          .cache_output = rng.bernoulli(0.5)});
     made.push_back({b.output_of(id), tasks});
   }
@@ -1573,6 +1608,118 @@ TEST_P(SharedShuffleCounters, MatchPerBlockReference) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SharedShuffleCounters,
                          ::testing::Range<std::uint64_t>(320, 332));
+
+// --- live reference counts against a walk of each block's records -----------
+
+class OracleLiveCounts : public ::testing::TestWithParam<std::uint64_t> {};
+
+/// Drives an oracle built with some stages gated off through random
+/// launches, finishes (of finished stages too), lineage reopens of
+/// finished and unfinished stages and gate flips, over a DAG with a
+/// zero-byte parent. After every step each block's O(1) count must equal
+/// a walk of its records (live_readers) in every build type, and the
+/// hook must have reported exactly the zero crossings.
+TEST_P(OracleLiveCounts, MatchWalkAndHook) {
+  Rng rng(GetParam());
+  const JobDag dag = random_read_dag(rng, /*zero_byte_parent=*/true);
+  const auto num_stages = static_cast<std::int64_t>(dag.num_stages());
+  // The last stage reads the zero-byte parent, so gating it always gates
+  // a record.
+  std::vector<StageId> inactive;
+  for (const Stage& s : dag.stages()) {
+    if (rng.bernoulli(0.3) || s.id.value() + 1 == num_stages) {
+      inactive.push_back(s.id);
+    }
+  }
+  ReferenceOracle oracle(dag, inactive);
+  std::vector<char> active(dag.num_stages(), 1);
+  for (const StageId s : inactive) {
+    active[static_cast<std::size_t>(s.value())] = 0;
+  }
+  std::vector<BlockId> blocks;
+  for (const Rdd& rdd : dag.rdds()) {
+    for (std::int32_t p = 0; p < rdd.num_partitions; ++p) {
+      blocks.push_back(BlockId{rdd.id, p});
+    }
+  }
+  const auto check = [&](int step) {
+    for (const BlockId& block : blocks) {
+      ASSERT_EQ(oracle.remaining_ref_count(block),
+                static_cast<int>(oracle.live_readers(block).size()))
+          << "step " << step << ", block " << block;
+    }
+  };
+  check(-1);
+  if (HasFatalFailure()) return;
+
+  // What the hook last said per block (1 = referenced), and which steps
+  // moved a count across zero.
+  std::vector<char> referenced(blocks.size(), 0);
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    referenced[i] = oracle.live_readers(blocks[i]).empty() ? 0 : 1;
+  }
+  enum Op { kLaunch, kRestore, kFinish, kGate };
+  Op op = kLaunch;
+  StageId stage;
+  bool was_finished = false;
+  std::int64_t shuffle_kills = 0, reopen_revivals = 0, gate_moves = 0,
+               finish_kills = 0;
+  oracle.set_reference_hook([&](const BlockId& block, bool now_referenced) {
+    auto& seen =
+        referenced[static_cast<std::size_t>(dag.block_ord(block))];
+    EXPECT_NE(seen != 0, now_referenced) << "not a crossing: " << block;
+    seen = now_referenced ? 1 : 0;
+    const auto& inputs = dag.stage(stage).inputs;
+    const bool shuffle_parent =
+        std::any_of(inputs.begin(), inputs.end(), [&](const RddRef& ref) {
+          return ref.rdd == block.rdd && ref.kind == DepKind::Shuffle;
+        });
+    if (op == kLaunch && shuffle_parent) ++shuffle_kills;
+    if (op == kRestore && was_finished && now_referenced) ++reopen_revivals;
+    if (op == kGate) ++gate_moves;
+    if (op == kFinish) ++finish_kills;
+  });
+
+  for (int step = 0; step < 400; ++step) {
+    stage = StageId(static_cast<std::int32_t>(rng.uniform_int(num_stages)));
+    was_finished = oracle.stage_finished(stage);
+    const auto task = static_cast<std::int32_t>(
+        rng.uniform_int(dag.stage(stage).num_tasks));
+    const std::int64_t pick = rng.uniform_int(6);
+    op = pick <= 2 ? kLaunch : static_cast<Op>(pick - 2);
+    switch (op) {
+      case kLaunch: oracle.on_task_launched(stage, task); break;
+      case kRestore: oracle.restore_task_refs(stage, task); break;
+      case kFinish: oracle.mark_stage_finished(stage); break;
+      case kGate: {
+        auto& on = active[static_cast<std::size_t>(stage.value())];
+        on = on != 0 ? 0 : 1;
+        oracle.set_stage_active(stage, on != 0);
+        break;
+      }
+    }
+    check(step);
+    if (HasFatalFailure()) return;
+    for (std::size_t i = 0; i < blocks.size(); ++i) {
+      ASSERT_EQ(referenced[i] != 0, oracle.remaining_ref_count(blocks[i]) > 0)
+          << "step " << step << ": the hook missed block " << blocks[i];
+    }
+  }
+  oracle.clear_reference_hook();
+  EXPECT_GT(shuffle_kills, 0);
+  EXPECT_GT(reopen_revivals, 0);
+  EXPECT_GT(gate_moves, 0);
+  EXPECT_GT(finish_kills, 0);
+  EXPECT_THROW(
+      {
+        oracle.set_reference_hook([](const BlockId&, bool) {});
+        oracle.set_reference_hook([](const BlockId&, bool) {});
+      },
+      InvariantError);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, OracleLiveCounts,
+                         ::testing::Range<std::uint64_t>(340, 352));
 
 // --- Eq. (6) bookkeeping -----------------------------------------------------
 
