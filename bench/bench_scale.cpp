@@ -15,8 +15,10 @@
 //
 // The fan stage carries the task count. It is a pure-shuffle consumer,
 // so every decision exercises the NO_PREF fast path plus the free-slot
-// executor index rather than the pending-task index of narrow stages
-// (PendingTaskIndex, which only prep's 32 tasks use). Keeping the
+// executor index (the fit bitmap of its task_cpus, walked without a
+// candidate mask) rather than the pending-task index of narrow stages
+// (PendingTaskIndex and its candidate masks, which only prep's 32
+// tasks use). Keeping the
 // shuffle *parent* at 32 partitions matters: prep's output is
 // cacheable, so each fan task reads it block by block, one
 // BlockManagerMaster::lookup per parent partition (only non-cacheable

@@ -148,24 +148,30 @@ void BlockManagerMaster::change_disk_nodes(const BlockId& block,
 
 void BlockManagerMaster::index_prefetchable(const BlockId& block) {
   const std::size_t o = ord(block);
+  const auto insert = [&](NodeId n) {
+    prefetch_indexed_ +=
+        prefetch_by_node_[static_cast<std::size_t>(n.value())]
+            .insert(block)
+            .second;
+  };
   for (const NodeId n :
        hdfs_->replicas_by_ord(static_cast<std::int64_t>(o))) {
-    prefetch_by_node_[static_cast<std::size_t>(n.value())].insert(block);
+    insert(n);
   }
-  for (const NodeId n : produced_disk_[o]) {
-    prefetch_by_node_[static_cast<std::size_t>(n.value())].insert(block);
-  }
+  for (const NodeId n : produced_disk_[o]) insert(n);
 }
 
 void BlockManagerMaster::unindex_prefetchable(const BlockId& block) {
   const std::size_t o = ord(block);
+  const auto erase = [&](NodeId n) {
+    prefetch_indexed_ -= static_cast<std::int64_t>(
+        prefetch_by_node_[static_cast<std::size_t>(n.value())].erase(block));
+  };
   for (const NodeId n :
        hdfs_->replicas_by_ord(static_cast<std::int64_t>(o))) {
-    prefetch_by_node_[static_cast<std::size_t>(n.value())].erase(block);
+    erase(n);
   }
-  for (const NodeId n : produced_disk_[o]) {
-    prefetch_by_node_[static_cast<std::size_t>(n.value())].erase(block);
-  }
+  for (const NodeId n : produced_disk_[o]) erase(n);
 }
 
 void BlockManagerMaster::add_prefetchable(const BlockId& block) {

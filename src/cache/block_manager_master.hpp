@@ -129,6 +129,16 @@ class BlockManagerMaster {
   /// Ranks `node`'s candidates into `out`, reusing its buffer.
   void rank_prefetch_candidates(NodeId node, PrefetchRanking& out) const;
 
+  /// Whether `node` has no candidate, so its ranking picks nothing.
+  [[nodiscard]] bool prefetch_node_empty(NodeId node) const {
+    return prefetch_by_node_[static_cast<std::size_t>(node.value())].empty();
+  }
+  /// Candidates indexed over all nodes (a block counts once per disk
+  /// node); 0 when no ranking can pick anything.
+  [[nodiscard]] std::int64_t prefetch_indexed() const {
+    return prefetch_indexed_;
+  }
+
   /// Whether prefetching can pick anything: the cache is on and the
   /// policy prefetches. When false the master keeps no candidate index.
   [[nodiscard]] bool prefetches() const { return prefetching_; }
@@ -337,6 +347,8 @@ class BlockManagerMaster {
   /// Prefetch candidate flags + per-node candidate sets (see above).
   std::vector<char> prefetchable_;
   std::vector<std::set<BlockId>> prefetch_by_node_;
+  /// Σ prefetch_by_node_[n].size().
+  std::int64_t prefetch_indexed_ = 0;
   // -- shuffle-read counts (shuffle_disk_split) ----------------------------
   // A tracked RDD is a non-cacheable one that some stage reads through a
   // shuffle edge; shuffle_slot_[rdd] is its slot, -1 for the rest. Per

@@ -38,4 +38,19 @@ inline constexpr std::array<Locality, 5> kAllLocalities = {
   return static_cast<int>(have) <= static_cast<int>(want);
 }
 
+/// A set of locality levels: those a delay policy launches at.
+class LocalitySet {
+ public:
+  constexpr void insert(Locality l) { bits_ |= bit(l); }
+  [[nodiscard]] constexpr bool contains(Locality l) const {
+    return (bits_ & bit(l)) != 0;
+  }
+
+ private:
+  static constexpr std::uint8_t bit(Locality l) {
+    return static_cast<std::uint8_t>(1U << static_cast<unsigned>(l));
+  }
+  std::uint8_t bits_ = 0;
+};
+
 }  // namespace dagon

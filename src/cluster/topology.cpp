@@ -26,6 +26,24 @@ Topology::Topology(const TopologySpec& spec) {
       nodes_.push_back(std::move(node));
     }
   }
+  // Bitmaps over executor ids (the delay policies' candidate masks) set
+  // a node's or a rack's executors a word at a time.
+  rack_executors_.assign(num_racks_, ExecutorRange{});
+  std::int32_t next = 0;
+  for (const Node& node : nodes_) {
+    ExecutorRange& rack =
+        rack_executors_[static_cast<std::size_t>(node.rack.value())];
+    if (rack.begin == rack.end) rack = {next, next};
+    DAGON_CHECK_MSG(rack.end == next, "rack " << node.rack
+                                              << "'s executors are not "
+                                                 "contiguous");
+    for (const ExecutorId e : node.executors) {
+      DAGON_CHECK_MSG(e.value() == next++, "node " << node.id
+                                                   << "'s executors are not "
+                                                      "contiguous");
+    }
+    rack.end = next;
+  }
 }
 
 Locality Topology::node_locality(ExecutorId e, NodeId data_node) const {

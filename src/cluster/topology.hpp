@@ -29,6 +29,12 @@ struct Executor {
   Bytes cache_bytes{};
 };
 
+/// Executor ids [begin, end).
+struct ExecutorRange {
+  std::int32_t begin = 0;
+  std::int32_t end = 0;
+};
+
 struct TopologySpec {
   std::int32_t racks = 1;
   std::int32_t nodes_per_rack = 4;
@@ -69,6 +75,18 @@ class Topology {
   }
   [[nodiscard]] Cpus total_cores() const { return total_cores_; }
 
+  /// The executors of node `n` and of rack `r`. Executors are numbered
+  /// rack by rack and node by node, so each node's and each rack's form
+  /// one contiguous id range (the constructor checks it).
+  [[nodiscard]] ExecutorRange node_executors(NodeId n) const {
+    const Node& nd = node(n);
+    return {nd.executors.front().value(), nd.executors.back().value() + 1};
+  }
+  [[nodiscard]] ExecutorRange rack_executors(RackId r) const {
+    DAGON_CHECK(r.valid() && static_cast<std::size_t>(r.value()) < num_racks_);
+    return rack_executors_[static_cast<std::size_t>(r.value())];
+  }
+
   /// Locality of data on node `data_node` as seen from executor `e`
   /// (Node / Rack / Any; Process requires executor identity, which the
   /// caller checks against the cache).
@@ -78,6 +96,7 @@ class Topology {
   std::vector<Node> nodes_;
   std::vector<Executor> executors_;
   std::size_t num_racks_ = 0;
+  std::vector<ExecutorRange> rack_executors_;
   Cpus total_cores_{};
 };
 

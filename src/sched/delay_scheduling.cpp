@@ -19,9 +19,25 @@ std::size_t level_index(std::span<const Locality> levels, Locality l) {
   return levels.empty() ? 0 : levels.size() - 1;
 }
 
+/// The levels at least as good as `allowed`.
+LocalitySet at_least_set(Locality allowed) {
+  LocalitySet accept;
+  for (const Locality l : kAllLocalities) {
+    if (at_least(l, allowed)) accept.insert(l);
+  }
+  return accept;
+}
+
 #ifndef NDEBUG
 std::ostream& operator<<(std::ostream& os, const std::optional<TaskPick>& p) {
   return p ? os << *p : os << "no task";
+}
+
+std::ostream& operator<<(std::ostream& os,
+                         const std::optional<Assignment>& a) {
+  if (!a) return os << "no launch";
+  return os << "task " << a->task_index << " @" << locality_name(a->locality)
+            << " on exec " << a->exec;
 }
 #endif
 
@@ -102,76 +118,101 @@ std::optional<Assignment> DelayPolicy::best_task_on(
   return Assignment{pick->task_index, exec.id, pick->locality};
 }
 
+template <typename Refused>
+std::optional<Assignment> DelayPolicy::first_accepted(
+    const JobState& state, const BlockManagerMaster& master, StageId s,
+    SimTime now, LocalitySet accept, Refused&& refused) const {
+  const Cpus demand = state.dag().stage(s).task_cpus;
+  const auto walk = [&](Cpus fit, std::span<const std::uint64_t> mask,
+                        auto&& on_refuse) {
+    std::optional<Assignment> chosen;
+    state.for_each_free_executor(fit, mask, [&](ExecutorId id) {
+      // Suspect/blacklisted executors take no new work; they also grant
+      // no Process preference (task_locality filters their memory
+      // copies), so the locality ladder never waits for them.
+      const ExecutorRuntime& exec = state.executor(id);
+      if (!exec.schedulable(now)) return false;
+      const auto best = best_task_on(state, master, s, exec, demand);
+      if (!best) return false;
+      if (accept.contains(best->locality)) {
+        chosen = best;
+        return true;
+      }
+      // Otherwise this executor stays idle for this stage — the core
+      // pathology the paper's Fig. 4 illustrates.
+      on_refuse(*best);
+      return false;
+    });
+    return chosen;
+  };
+  // An executor without `demand` free cores fails best_task_on, and one
+  // outside the mask answers only levels outside `accept` (DESIGN.md
+  // §11), so skipping either cannot change the first accepted executor.
+  const std::optional<Assignment> chosen =
+      walk(demand, index_.candidates(state, master, s, accept), refused);
+#ifndef NDEBUG
+  const std::optional<Assignment> want =
+      walk(Cpus{1}, {}, [](const Assignment&) {});
+  DAGON_CHECK_MSG(chosen == want, "candidate walk of stage "
+                                      << s << " at " << format_duration(now)
+                                      << " gives " << chosen
+                                      << ", the full walk " << want);
+#endif
+  return chosen;
+}
+
 std::optional<Assignment> NativeDelayPolicy::scan(
     JobState& state, const BlockManagerMaster& master, StageId s,
     SimTime now) const {
   const Locality allowed = allowed_locality(state, master, s, now);
-  const Cpus demand = state.dag().stage(s).task_cpus;
-  std::optional<Assignment> chosen;
-  // Rotation-ordered walk over executors that have a free core, straight
-  // off JobState's free-slot index. A core-less executor can never fit
-  // the stage's demand (task_cpus >= 1 by construction), so skipping it
-  // cannot change which launch the historical full scan would find.
-  state.for_each_free_executor([&](ExecutorId id) {
-    // Suspect/blacklisted executors take no new work; they also grant no
-    // Process preference (task_locality filters their memory copies), so
-    // the locality ladder never waits for them.
-    const ExecutorRuntime& exec = state.executor(id);
-    if (!exec.schedulable(now)) return false;
-    const auto best = best_task_on(state, master, s, exec, demand);
-    if (best && at_least(best->locality, allowed)) {
-      chosen = best;
-      return true;
-    }
-    // Otherwise this executor stays idle for this stage — the core
-    // pathology the paper's Fig. 4 illustrates.
-    return false;
-  });
-  return chosen;
+  return first_accepted(state, master, s, now, at_least_set(allowed),
+                        [](const Assignment&) {});
 }
 
 std::optional<Assignment> SensitivityAwareDelayPolicy::scan(
     JobState& state, const BlockManagerMaster& master, StageId s,
     SimTime now) const {
   const Locality allowed = allowed_locality(state, master, s, now);
+  LocalitySet accept = at_least_set(allowed);
+  // A pure-shuffle stage's tasks are all NoPref, which every rung of its
+  // ladder accepts.
+  if (!state.stage(s).has_narrow) {
+    return first_accepted(state, master, s, now, accept,
+                          [](const Assignment&) {});
+  }
   const TaskTimeEstimator estimator(state, *cost_);
   // Algorithm 2: accept a lower-locality task when it finishes within
   // the stage's earliest completion time (Eq. 7, with slack).
   const SimTime ect = scale_time(estimator.earliest_completion(s), ect_slack_);
   // The estimate depends only on the stage and the level, and nothing
-  // in this call changes either: ask once per level.
-  std::array<std::optional<SimTime>, 5> est_by_level;
-  const Cpus demand = state.dag().stage(s).task_cpus;
-  std::optional<Assignment> chosen;
-  state.for_each_free_executor([&](ExecutorId id) {
-    const ExecutorRuntime& exec = state.executor(id);
-    if (!exec.schedulable(now)) return false;
-    const auto best = best_task_on(state, master, s, exec, demand);
-    if (!best) return false;
-    if (at_least(best->locality, allowed)) {
-      chosen = best;
-      return true;
-    }
-    auto& cached = est_by_level[static_cast<std::size_t>(best->locality)];
-    if (!cached) cached = estimator.estimate(s, best->locality);
-    const SimTime est = *cached;
-    if (est < ect) {
-      DAGON_TRACE("algorithm2 accepts stage "
-                  << s << " task " << best->task_index << " @"
-                  << locality_name(best->locality) << " on exec " << id
-                  << " (est " << format_duration(est) << " < ect "
-                  << format_duration(ect) << ")");
-      chosen = best;
-      return true;
-    }
-    DAGON_TRACE("algorithm2 refuses stage "
-                << s << " @" << locality_name(best->locality) << " on exec "
-                << id << " (est " << format_duration(est) << " >= ect "
-                << format_duration(ect) << ")");
-    // Locality-sensitive stage: skip this executor, try the next one
-    // (Algorithm 2 line 9).
-    return false;
-  });
+  // in this call changes either: ask once per level below `allowed`.
+  std::array<SimTime, 5> est_by_level{};
+  for (const Locality l : kAllLocalities) {
+    if (at_least(l, allowed)) continue;
+    const SimTime est = estimator.estimate(s, l);
+    est_by_level[static_cast<std::size_t>(l)] = est;
+    if (est < ect) accept.insert(l);
+  }
+  const auto chosen = first_accepted(
+      state, master, s, now, accept, [&](const Assignment& a) {
+        DAGON_TRACE("algorithm2 refuses stage "
+                    << s << " @" << locality_name(a.locality) << " on exec "
+                    << a.exec << " (est "
+                    << format_duration(
+                           est_by_level[static_cast<std::size_t>(a.locality)])
+                    << " >= ect " << format_duration(ect) << ")");
+        // Locality-sensitive stage: skip this executor, try the next one
+        // (Algorithm 2 line 9).
+      });
+  if (chosen && !at_least(chosen->locality, allowed)) {
+    DAGON_TRACE("algorithm2 accepts stage "
+                << s << " task " << chosen->task_index << " @"
+                << locality_name(chosen->locality) << " on exec "
+                << chosen->exec << " (est "
+                << format_duration(
+                       est_by_level[static_cast<std::size_t>(chosen->locality)])
+                << " < ect " << format_duration(ect) << ")");
+  }
   return chosen;
 }
 

@@ -25,6 +25,7 @@ struct Assignment {
   std::int32_t task_index = -1;
   ExecutorId exec = ExecutorId::invalid();
   Locality locality = Locality::Any;
+  friend bool operator==(const Assignment&, const Assignment&) = default;
 };
 
 class DelayPolicy {
@@ -76,6 +77,20 @@ class DelayPolicy {
   [[nodiscard]] std::optional<Assignment> best_task_on(
       const JobState& state, const BlockManagerMaster& master, StageId s,
       const ExecutorRuntime& exec, Cpus demand) const;
+
+  /// The walk both policies share: the first schedulable free executor,
+  /// in rotation order, whose best task of `s` (best_task_on) is at a
+  /// level in `accept`, and that task. It visits only the executors that
+  /// fit the stage's task_cpus and lie in the index's candidate mask for
+  /// `accept`, which holds every executor that can be accepted, so it
+  /// meets the same executor as a walk over every free one. Without
+  /// NDEBUG it also takes that full walk and throws InvariantError if the
+  /// answers differ. `refused(a)` hears each visited executor whose best
+  /// task `a` is at a level outside `accept`.
+  template <typename Refused>
+  [[nodiscard]] std::optional<Assignment> first_accepted(
+      const JobState& state, const BlockManagerMaster& master, StageId s,
+      SimTime now, LocalitySet accept, Refused&& refused) const;
 
   LocalityWaits waits_;
   const CostModel* cost_;

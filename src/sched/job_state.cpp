@@ -34,13 +34,25 @@ JobState::JobState(const JobDag& dag, const Topology& topo,
     rt.free_cores_ = e.cores;
     executors_.push_back(rt);
   }
-  free_bits_.assign((executors_.size() + 63) / 64, 0);
+  Cpus max_demand{1};
+  for (const Stage& s : dag.stages()) {
+    max_demand = std::max(max_demand, s.task_cpus);
+  }
+  Cpus max_cores{1};
+  for (const Executor& e : topo.executors()) {
+    max_cores = std::max(max_cores, e.cores);
+  }
+  fit_levels_ = std::min(max_demand, max_cores).count();
+  words_ = (executors_.size() + 63) / 64;
+  fit_.assign(static_cast<std::size_t>(fit_levels_) * words_, 0);
   for (const ExecutorRuntime& e : executors_) {
-    if (e.free_cores_ > Cpus{0}) {
-      const auto idx = static_cast<std::size_t>(e.id.value());
-      free_bits_[idx >> 6] |= std::uint64_t{1} << (idx & 63);
-      ++num_free_;
+    const auto idx = static_cast<std::size_t>(e.id.value());
+    const std::int32_t fits = std::min(e.free_cores_.count(), fit_levels_);
+    for (std::int32_t d = 0; d < fits; ++d) {
+      fit_[static_cast<std::size_t>(d) * words_ + (idx >> 6)] |=
+          std::uint64_t{1} << (idx & 63);
     }
+    if (fits > 0) ++num_free_;
   }
 }
 
@@ -84,15 +96,27 @@ bool JobState::all_finished() const {
 void JobState::set_free_cores(ExecutorId exec, Cpus cores) {
   DAGON_CHECK(cores >= Cpus{0});
   ExecutorRuntime& e = executor(exec);
-  const bool was_free = e.free_cores_ > Cpus{0};
-  const bool is_free = cores > Cpus{0};
+  const std::int32_t was = std::min(e.free_cores_.count(), fit_levels_);
+  const std::int32_t is = std::min(cores.count(), fit_levels_);
   if (cores > e.free_cores_) ++capacity_epoch_;
   e.free_cores_ = cores;
-  if (was_free != is_free) {
-    const auto idx = static_cast<std::size_t>(exec.value());
-    free_bits_[idx >> 6] ^= std::uint64_t{1} << (idx & 63);
-    num_free_ += is_free ? 1 : -1;
+  // Flip exec's bit in the levels between the old and the new value.
+  const auto idx = static_cast<std::size_t>(exec.value());
+  const std::uint64_t bit = std::uint64_t{1} << (idx & 63);
+  for (std::int32_t d = std::min(was, is); d < std::max(was, is); ++d) {
+    fit_[static_cast<std::size_t>(d) * words_ + (idx >> 6)] ^= bit;
   }
+  if ((was == 0) != (is == 0)) num_free_ += is > 0 ? 1 : -1;
+#ifndef NDEBUG
+  for (std::int32_t d = 1; d <= fit_levels_; ++d) {
+    const bool set =
+        (fit_[static_cast<std::size_t>(d - 1) * words_ + (idx >> 6)] & bit) != 0;
+    DAGON_CHECK_MSG(set == (cores >= Cpus{d}),
+                    "fit bitmap " << d << " of executor " << exec
+                                  << " disagrees with its " << cores
+                                  << " free cores");
+  }
+#endif
 }
 
 void JobState::add_free_cores(ExecutorId exec, Cpus delta) {

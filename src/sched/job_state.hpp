@@ -6,9 +6,11 @@
 // launch/finish methods; schedulers and delay policies read it.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "cluster/locality.hpp"
@@ -205,13 +207,19 @@ class JobState {
 
   // -- free-slot executor index -------------------------------------------
   //
-  // A bitmap over executor ids with bit e set iff free_cores() > 0,
-  // plus the total launch count that defines the scheduler's rotation.
-  // Every free-core mutation flows through set_free_cores /
-  // add_free_cores (free_cores_ is private to enforce it), so the index
-  // is exact at all times and a scheduling decision costs a word-scan
-  // over n/64 words plus the executors actually visited, instead of a
-  // full O(executors) walk.
+  // One bitmap over executor ids per demand d = 1..fit_levels(), bit e
+  // set iff free_cores() >= d, plus the total launch count that defines
+  // the scheduler's rotation. Every free-core mutation flows through
+  // set_free_cores / add_free_cores (free_cores_ is private to enforce
+  // it), so the index is exact at all times. A delay policy's walk
+  // visits only the executors that fit the stage's task_cpus and lie in
+  // its candidate mask (PendingTaskIndex::candidates): a word-scan over
+  // n/64 words plus the executors actually visited.
+
+  /// Demand levels kept: the DAG's largest task_cpus, capped at the
+  /// largest executor's cores (a level above it would stay empty). At
+  /// least 1; level 1 is "has a free core".
+  [[nodiscard]] std::int32_t fit_levels() const { return fit_levels_; }
 
   /// Sets `exec`'s free cores to `cores`, updating the index.
   void set_free_cores(ExecutorId exec, Cpus cores);
@@ -232,18 +240,27 @@ class JobState {
     return capacity_epoch_;
   }
 
-  /// Visits every executor with free_cores() > 0 in the exact order the
-  /// historical full scan used — executor ids rotated left by
-  /// (Σ tasks_launched) mod n — and stops early when `fn` returns true.
-  /// `fn` must not change any executor's free-core state mid-scan.
-  /// Returns true when `fn` stopped the scan.
+  /// Visits, in the order of the historical full scan — executor ids
+  /// rotated left by (Σ tasks_launched) mod n — every executor with
+  /// free_cores() >= min(demand, fit_levels()) whose bit is set in
+  /// `mask` (n/64 words; empty = every executor), and stops early when
+  /// `fn` returns true. An executor skipped for lacking cores is one
+  /// whose fit check would fail; a demand above fit_levels() leaves
+  /// that check to `fn`. `fn` must not change any executor's free-core
+  /// state mid-scan. Returns true when `fn` stopped the scan.
   template <typename Fn>
-  bool for_each_free_executor(Fn&& fn) const {
+  bool for_each_free_executor(Cpus demand, std::span<const std::uint64_t> mask,
+                              Fn&& fn) const {
     const std::size_t n = executors_.size();
     if (n == 0 || num_free_ == 0) return false;
+    const std::int32_t level =
+        std::clamp(demand.count(), std::int32_t{1}, fit_levels_);
+    const std::uint64_t* fit =
+        &fit_[static_cast<std::size_t>(level - 1) * words_];
+    const std::uint64_t* m = mask.empty() ? nullptr : mask.data();
     const auto shift = static_cast<std::size_t>(
         total_launched_ % static_cast<std::int64_t>(n));
-    return scan_free(shift, n, fn) || scan_free(0, shift, fn);
+    return scan_free(shift, n, fit, m, fn) || scan_free(0, shift, fit, m, fn);
   }
 
   // -- the paper's w_i and pv_i (Eq. 6) ------------------------------------
@@ -316,14 +333,20 @@ class JobState {
   /// Routes every task_status write through the transition table.
   void set_status(StageRuntime& rt, std::int32_t index, TaskStatus to);
 
-  /// Visits free executors with ids in [lo, hi) in ascending order;
-  /// true when `fn` stopped the scan.
+  /// Visits the executors with ids in [lo, hi) whose bit is set in
+  /// `fit` and in `mask` (null = all) in ascending order; true when `fn`
+  /// stopped the scan.
   template <typename Fn>
-  bool scan_free(std::size_t lo, std::size_t hi, Fn&& fn) const {
+  static bool scan_free(std::size_t lo, std::size_t hi,
+                        const std::uint64_t* fit, const std::uint64_t* mask,
+                        Fn&& fn) {
     if (lo >= hi) return false;
     std::size_t w = lo >> 6;
     const std::size_t wlast = (hi - 1) >> 6;
-    std::uint64_t word = free_bits_[w] & (~std::uint64_t{0} << (lo & 63));
+    const auto load = [&](std::size_t i) {
+      return mask == nullptr ? fit[i] : fit[i] & mask[i];
+    };
+    std::uint64_t word = load(w) & (~std::uint64_t{0} << (lo & 63));
     while (true) {
       if (w == wlast) {
         const std::size_t tail = hi & 63;
@@ -337,7 +360,7 @@ class JobState {
         }
       }
       if (w == wlast) return false;
-      word = free_bits_[++w];
+      word = load(++w);
     }
   }
 
@@ -346,9 +369,13 @@ class JobState {
   const JobProfile* profile_;
   std::vector<StageRuntime> stages_;
   std::vector<ExecutorRuntime> executors_;
-  /// Bit e set iff executors_[e].free_cores_ > 0.
-  std::vector<std::uint64_t> free_bits_;
-  /// Popcount of free_bits_ — executors with a free core right now.
+  /// Words per bitmap: (executors + 63) / 64.
+  std::size_t words_ = 0;
+  std::int32_t fit_levels_ = 1;
+  /// fit_levels_ bitmaps of words_ words each; bit e of bitmap d - 1 is
+  /// set iff executors_[e].free_cores_ >= d.
+  std::vector<std::uint64_t> fit_;
+  /// Popcount of bitmap 0 — executors with a free core right now.
   std::int64_t num_free_ = 0;
   /// Σ tasks_launched over all executors (the rotation phase).
   std::int64_t total_launched_ = 0;

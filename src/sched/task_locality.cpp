@@ -132,6 +132,33 @@ void add_unique(std::vector<std::int32_t>& ids, std::int32_t id) {
   if (std::find(ids.begin(), ids.end(), id) == ids.end()) ids.push_back(id);
 }
 
+std::uint64_t bit_of(std::int32_t e) {
+  return std::uint64_t{1} << (static_cast<std::uint32_t>(e) & 63);
+}
+
+std::uint64_t& word_of(std::uint64_t* bits, std::int32_t e) {
+  return bits[static_cast<std::size_t>(e) >> 6];
+}
+
+/// Sets (`on`) or clears the bits of `r`, a word at a time.
+void assign_range(std::uint64_t* bits, ExecutorRange r, bool on) {
+  if (r.begin >= r.end) return;
+  const auto lo = static_cast<std::size_t>(r.begin);
+  const auto hi = static_cast<std::size_t>(r.end);
+  const std::size_t wlast = (hi - 1) >> 6;
+  for (std::size_t w = lo >> 6; w <= wlast; ++w) {
+    std::uint64_t m = ~std::uint64_t{0};
+    if (w == lo >> 6) m &= ~std::uint64_t{0} << (lo & 63);
+    if (w == wlast && (hi & 63) != 0) m &= (std::uint64_t{1} << (hi & 63)) - 1;
+    bits[w] = on ? bits[w] | m : bits[w] & ~m;
+  }
+}
+
+/// Clears `r`, which is all set or all clear, unless `e` in it is clear.
+void clear_range(std::uint64_t* bits, ExecutorRange r, std::int32_t e) {
+  if ((word_of(bits, e) & bit_of(e)) != 0) assign_range(bits, r, false);
+}
+
 }  // namespace
 
 PendingTaskIndex::StageIndex& PendingTaskIndex::sync(
@@ -139,6 +166,8 @@ PendingTaskIndex::StageIndex& PendingTaskIndex::sync(
     const StageRuntime& rt) {
   if (stages_.empty()) {
     stages_.resize(state.dag().num_stages());
+    words_ = (state.executors().size() + 63) / 64;
+    masks_.assign(stages_.size() * 3 * words_, 0);
     watchers_.resize(state.dag().rdds().size());
   }
   if (cursor_ != master.journal_end()) catch_up(state, master);
@@ -192,6 +221,7 @@ void PendingTaskIndex::build(const JobState& state,
   const StageRuntime& rt = state.stage(s);
   si.built = true;
   si.stamp.assign(static_cast<std::size_t>(rt.num_tasks), 0);
+  std::fill_n(mask(s, Mask::Process), 3 * words_, 0);
   for (const std::int32_t task : rt.pending) {
     index_task(state, master, s, si, task);
   }
@@ -238,9 +268,16 @@ void PendingTaskIndex::index_task(const JobState& state,
   };
   for (const std::int32_t e : execs_) {
     push(si.by_node.get(topo.node_of(ExecutorId(e)).value()).by_exec.get(e));
+    word_of(mask(s, Mask::Process), e) |= bit_of(e);
   }
-  for (const std::int32_t n : nodes_) push(si.by_node.get(n).tasks);
-  for (const std::int32_t r : racks_) push(si.by_rack.get(r));
+  for (const std::int32_t n : nodes_) {
+    push(si.by_node.get(n).tasks);
+    assign_range(mask(s, Mask::Node), topo.node_executors(NodeId(n)), true);
+  }
+  for (const std::int32_t r : racks_) {
+    push(si.by_rack.get(r));
+    assign_range(mask(s, Mask::Rack), topo.rack_executors(RackId(r)), true);
+  }
   if (nodes_.empty()) push(si.no_pref);
   if (!execs_.empty()) push(si.in_memory);
 }
@@ -274,26 +311,24 @@ std::optional<TaskPick> PendingTaskIndex::best(
   const auto pick = [&](Bucket* bucket) {
     return first_live(bucket, rt.pending, si);
   };
-  if (memo_.node != node) {
-    memo_.node = node;
-    memo_.buckets = si.by_node.find(node.value());
-    if (const auto t = pick(memo_.buckets ? &memo_.buckets->tasks : nullptr)) {
-      memo_.below_process = TaskPick{*t, Locality::Node};
-    } else if (const auto u = pick(&si.no_pref)) {
-      memo_.below_process = TaskPick{*u, Locality::NoPref};
-    } else if (const auto v =
-                   pick(si.by_rack.find(topo.rack_of(node).value()))) {
-      memo_.below_process = TaskPick{*v, Locality::Rack};
-    } else {
-      memo_.below_process = TaskPick{rt.pending.front(), Locality::Any};
-    }
-  }
-  if (memo_.any_in_memory && memo_.buckets != nullptr) {
-    if (const auto t = pick(memo_.buckets->by_exec.find(exec.value()))) {
+  NodeBuckets* buckets = si.by_node.find(node.value());
+  if (memo_.any_in_memory && buckets != nullptr) {
+    if (const auto t = pick(buckets->by_exec.find(exec.value()))) {
       return TaskPick{*t, Locality::Process};
     }
   }
-  return memo_.below_process;
+  word_of(mask(s, Mask::Process), exec.value()) &= ~bit_of(exec.value());
+  if (const auto t = pick(buckets ? &buckets->tasks : nullptr)) {
+    return TaskPick{*t, Locality::Node};
+  }
+  clear_range(mask(s, Mask::Node), topo.node_executors(node), exec.value());
+  if (const auto u = pick(&si.no_pref)) return TaskPick{*u, Locality::NoPref};
+  const RackId rack = topo.rack_of(node);
+  if (const auto v = pick(si.by_rack.find(rack.value()))) {
+    return TaskPick{*v, Locality::Rack};
+  }
+  clear_range(mask(s, Mask::Rack), topo.rack_executors(rack), exec.value());
+  return TaskPick{rt.pending.front(), Locality::Any};
 }
 
 std::span<const Locality> PendingTaskIndex::levels(
@@ -302,6 +337,35 @@ std::span<const Locality> PendingTaskIndex::levels(
   if (!rt.has_narrow) return locality_ladder(false, false);
   (void)sync(state, master, rt);
   return locality_ladder(true, memo_.any_in_memory);
+}
+
+std::span<const std::uint64_t> PendingTaskIndex::candidates(
+    const JobState& state, const BlockManagerMaster& master, StageId s,
+    LocalitySet accept) {
+  const StageRuntime& rt = state.stage(s);
+  if (!rt.has_narrow || accept.contains(Locality::Any)) return {};
+  StageIndex& si = sync(state, master, rt);
+  if (accept.contains(Locality::NoPref) &&
+      first_live(&si.no_pref, rt.pending, si)) {
+    return {};
+  }
+  // best() answers Process only on a live executor bucket, otherwise
+  // the first live rung below it: Node on a live node bucket, NoPref on
+  // a live no-copy bucket (here dead or not accepted), Rack on a live
+  // rack bucket, then Any (not accepted). Each rung is live only inside
+  // its own mask.
+  const std::uint64_t* process =
+      memo_.any_in_memory ? mask(s, Mask::Process) : nullptr;
+  const std::uint64_t* node =
+      accept.contains(Locality::Node) ? mask(s, Mask::Node) : nullptr;
+  const std::uint64_t* rack =
+      accept.contains(Locality::Rack) ? mask(s, Mask::Rack) : nullptr;
+  candidates_.resize(words_);
+  for (std::size_t w = 0; w < words_; ++w) {
+    candidates_[w] = (process ? process[w] : 0) | (node ? node[w] : 0) |
+                     (rack ? rack[w] : 0);
+  }
+  return candidates_;
 }
 
 }  // namespace dagon

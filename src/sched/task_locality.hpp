@@ -74,8 +74,14 @@ std::ostream& operator<<(std::ostream& os, const TaskPick& pick);
 /// order Process < Node < NoPref < Rack < Any. The first non-empty one
 /// is exact: a task with a memory copy on `e` also has node(e) among its
 /// nodes, so when e's executor bucket is empty every task of node(e)'s
-/// bucket is Node-local on `e`, and so on down the ladder. Every
-/// executor of a node shares the answer below Process (see memo_).
+/// bucket is Node-local on `e`, and so on down the ladder.
+///
+/// Per built stage it also keeps three candidate masks over executor
+/// ids, each a superset of the executors whose executor bucket, node
+/// bucket or rack bucket holds a live entry: index_task sets bits as it
+/// pushes, best() clears them once it finds the bucket empty, and a
+/// rebuild starts them afresh. candidates() combines them into the
+/// executors a delay policy's walk must visit.
 ///
 /// Entries are never removed eagerly. One is live while its task is
 /// pending at the entry's position and its locations have not been
@@ -98,6 +104,17 @@ class PendingTaskIndex {
   /// valid_locality_levels's answer, without allocating.
   [[nodiscard]] std::span<const Locality> levels(
       const JobState& state, const BlockManagerMaster& master, StageId s);
+
+  /// A mask over executor ids (n/64 words) holding every executor on
+  /// which best() can answer a level in `accept` (and every one where
+  /// it can answer Process, which both delay policies accept), or an
+  /// empty span when that may be any executor: for a pure-shuffle
+  /// stage, when `accept` holds Any, or when it holds NoPref while some
+  /// pending task has no copy. The span points into a buffer reused by
+  /// the next call.
+  [[nodiscard]] std::span<const std::uint64_t> candidates(
+      const JobState& state, const BlockManagerMaster& master, StageId s,
+      LocalitySet accept);
 
  private:
   struct Entry {
@@ -148,6 +165,16 @@ class PendingTaskIndex {
     Bucket no_pref;
     Bucket in_memory;
   };
+  /// A stage's candidate masks: bit e is set whenever e's executor
+  /// bucket (Process), node(e)'s bucket (Node) or rack(e)'s bucket
+  /// (Rack) has a live entry. A node's or a rack's bits are set and
+  /// cleared together, so any one of them tells all.
+  enum class Mask { Process, Node, Rack };
+  [[nodiscard]] std::uint64_t* mask(StageId s, Mask m) {
+    return &masks_[(static_cast<std::size_t>(s.value()) * 3 +
+                    static_cast<std::size_t>(m)) *
+                   words_];
+  }
 
   /// Catches up with the journal and with the stage's re-queues,
   /// building the stage's buckets on its first ask, and points memo_ at
@@ -170,23 +197,25 @@ class PendingTaskIndex {
   std::uint64_t cursor_ = 0;
   /// Indexed by stage id.
   std::vector<StageIndex> stages_;
+  /// Words per bitmap over executor ids.
+  std::size_t words_ = 0;
+  /// Every stage's three candidate masks in one block (see mask()); a
+  /// stage's are zeroed when it is built.
+  std::vector<std::uint64_t> masks_;
   /// Per RDD id: the built stages that read it through a narrow edge.
   std::vector<std::vector<StageId>> watchers_;
   /// What holds for one stage while its pending set (its epoch) and the
   /// placement (the cursor) stay as they are: whether any pending task
-  /// has a memory copy, and the last node asked about, with its buckets
-  /// and its best task below Process, which every executor of the node
-  /// shares. A scan asks for the executors of one node in a row.
+  /// has a memory copy (the ladder's Process rung).
   struct Memo {
     StageId stage = StageId::invalid();
     std::uint64_t epoch = 0;
     std::uint64_t cursor = 0;
     bool any_in_memory = false;
-    NodeId node = NodeId::invalid();
-    NodeBuckets* buckets = nullptr;
-    std::optional<TaskPick> below_process;
   };
   Memo memo_;
+  /// candidates()'s buffer.
+  std::vector<std::uint64_t> candidates_;
   /// index_task's scratch: the task's executors, nodes and racks.
   std::vector<std::int32_t> execs_;
   std::vector<std::int32_t> nodes_;

@@ -803,7 +803,12 @@ void SimDriver::handle_prefetch_done(const Event& e, SimTime now) {
 }
 
 void SimDriver::issue_prefetches(SimTime now) {
-  if (!config_.prefetch_enabled || !master_.prefetches()) return;
+  // An empty candidate set ranks empty, and an empty ranking picks
+  // nothing: skip the pass, or the node, when its set is empty.
+  if (!config_.prefetch_enabled || !master_.prefetches() ||
+      master_.prefetch_indexed() == 0) {
+    return;
+  }
   // The pass only marks blocks in flight, occupies IO channels and
   // pushes events; nothing a ranking reads (the candidate index, free
   // bytes, the oracle) changes, so a ranking stays exact for the whole
@@ -815,6 +820,7 @@ void SimDriver::issue_prefetches(SimTime now) {
     // cache wastes the channel.
     if (!e.alive() || e.suspect() || e.prefetching.has_value()) continue;
     const NodeId node = topo_.node_of(e.id);
+    if (master_.prefetch_node_empty(node)) continue;
     if (node != ranked) {
       master_.rank_prefetch_candidates(node, prefetch_ranking_);
       ranked = node;

@@ -509,7 +509,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PrefetchReference,
 /// indices and refusal records span the whole run, and of policies built
 /// afresh; both must return the same Assignment, or both nullopt. It
 /// also holds a long-lived PendingTaskIndex to a walk of the pending
-/// tasks: every stage's best task on every executor, and its ladder.
+/// tasks: every stage's best task on every executor, and its ladder;
+/// its candidate masks to every executor either policy would accept,
+/// for every ladder position; and JobState's fit bitmaps to a recount.
 class PolicyHarness {
  public:
   PolicyHarness(const JobDag& dag, const TopologySpec& topo_spec,
@@ -541,6 +543,10 @@ class PolicyHarness {
   std::int64_t refusals_compared() const { return refusals_; }
 
   void check(const char* step) {
+    check_fit_bitmaps(step);
+    for (const StageId s : state_.schedulable_stages()) {
+      check_candidates(step, s);
+    }
     for (const StageRuntime& rt : state_.stages()) {
       for (const Executor& e : topo_.executors()) {
         EXPECT_EQ(index_.best(state_, master_, rt.id, e.id),
@@ -837,6 +843,59 @@ class PolicyHarness {
     const T out = v[i];
     v.erase(v.begin() + static_cast<std::ptrdiff_t>(i));
     return out;
+  }
+
+  /// A walk at demand d visits exactly the executors with d free cores.
+  void check_fit_bitmaps(const char* step) {
+    for (std::int32_t d = 1; d <= state_.fit_levels(); ++d) {
+      std::vector<ExecutorId> walked;
+      state_.for_each_free_executor(Cpus{d}, {}, [&](ExecutorId e) {
+        walked.push_back(e);
+        return false;
+      });
+      std::sort(walked.begin(), walked.end());
+      std::vector<ExecutorId> want;
+      for (const ExecutorRuntime& e : state_.executors()) {
+        if (e.free_cores() >= Cpus{d}) want.push_back(e.id);
+      }
+      EXPECT_EQ(walked, want) << "fit bitmap " << d << " after " << step;
+    }
+  }
+
+  /// For every level the ladder may allow, the accept sets of stock
+  /// delay scheduling (at least `allowed`) and of Algorithm 2 (also any
+  /// level whose estimate beats ect): the index's mask holds every
+  /// executor whose best task (walked) is at an accepted level.
+  void check_candidates(const char* step, StageId s) {
+    const TaskTimeEstimator estimator(state_, cost_);
+    const SimTime ect = scale_time(estimator.earliest_completion(s), 1.1);
+    for (const Locality allowed : kAllLocalities) {
+      LocalitySet native;
+      LocalitySet aware;
+      for (const Locality l : kAllLocalities) {
+        if (at_least(l, allowed)) {
+          native.insert(l);
+          aware.insert(l);
+        } else if (estimator.estimate(s, l) < ect) {
+          aware.insert(l);
+        }
+      }
+      for (const LocalitySet accept : {native, aware}) {
+        const std::span<const std::uint64_t> mask =
+            index_.candidates(state_, master_, s, accept);
+        if (mask.empty()) continue;  // every executor
+        for (const Executor& e : topo_.executors()) {
+          const auto pick =
+              best_task_by_scan(*dag_, master_, topo_, state_.stage(s), e.id);
+          if (!pick || !accept.contains(pick->locality)) continue;
+          const auto i = static_cast<std::size_t>(e.id.value());
+          EXPECT_NE(mask[i >> 6] & (std::uint64_t{1} << (i & 63)), 0u)
+              << "mask of stage " << s << " lacks exec " << e.id << " ("
+              << *pick << ", allowed " << locality_name(allowed)
+              << ") after " << step;
+        }
+      }
+    }
   }
 
   void compare(const std::optional<Assignment>& got,

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "cache/block_manager_master.hpp"
+#include "common/log.hpp"
 #include "sched/delay_scheduling.hpp"
 #include "sched/estimator.hpp"
 #include "sched/job_state.hpp"
@@ -493,6 +494,243 @@ TEST(PendingTaskIndex, RanksNoPrefBetweenNodeAndRack) {
   EXPECT_EQ(rig.best(post, ExecutorId(3)), (TaskPick{1, Locality::Node}));
   EXPECT_EQ(rig.best(post, ExecutorId(1)), (TaskPick{2, Locality::NoPref}));
   EXPECT_EQ(rig.index.levels(rig.state, master, post).front(), Locality::Node);
+}
+
+bool has_exec(std::span<const std::uint64_t> mask, ExecutorId e) {
+  const auto i = static_cast<std::size_t>(e.value());
+  return (mask[i >> 6] & (std::uint64_t{1} << (i & 63))) != 0;
+}
+
+/// Executors of a mask, ascending.
+std::vector<ExecutorId> execs_of(std::span<const std::uint64_t> mask,
+                                 const Topology& topo) {
+  std::vector<ExecutorId> out;
+  for (const Executor& e : topo.executors()) {
+    if (has_exec(mask, e.id)) out.push_back(e.id);
+  }
+  return out;
+}
+
+LocalitySet levels_of(std::initializer_list<Locality> levels) {
+  LocalitySet set;
+  for (const Locality l : levels) set.insert(l);
+  return set;
+}
+
+/// in (HDFS, every block on node 0) -narrow-> scan, `tasks` tasks of
+/// `cpus` cores each, on IndexRig's four single-executor nodes.
+JobDag hot_scan_dag(std::int32_t tasks, Cpus cpus) {
+  JobDagBuilder b("hot");
+  const RddId in = b.input_rdd("in", tasks, kMiB);
+  b.add_stage({.name = "scan",
+               .inputs = {{in, DepKind::Narrow}},
+               .num_tasks = tasks,
+               .task_cpus = cpus,
+               .task_duration = kSec,
+               .output_bytes_per_partition = Bytes{0}});
+  return b.build();
+}
+
+HdfsSpec hot_node0() {
+  HdfsSpec spec = single_replica();
+  spec.skew = 1.0;
+  spec.hot_nodes = 1;
+  return spec;
+}
+
+TEST(CandidateWalk, SkipsTheFirstExecutorInRotationWhenItCannotFit) {
+  IndexRig rig(hot_scan_dag(4, Cpus{2}), hot_node0());
+  JobState& state = rig.state;
+  const StageId scan(0);
+  // One launch moves the rotation to start at exec 1, which keeps one
+  // free core: too few for a 2-core task.
+  state.mark_launched(scan, 3, ExecutorId(2), SimTime{0});
+  state.set_free_cores(ExecutorId(1), Cpus{1});
+  std::vector<ExecutorId> order;
+  state.for_each_free_executor(Cpus{2}, {}, [&](ExecutorId e) {
+    order.push_back(e);
+    return false;
+  });
+  EXPECT_EQ(order,
+            (std::vector<ExecutorId>{ExecutorId(2), ExecutorId(3),
+                                     ExecutorId(0)}));
+  order.clear();
+  state.for_each_free_executor(Cpus{1}, {}, [&](ExecutorId e) {
+    order.push_back(e);
+    return false;
+  });
+  EXPECT_EQ(order.front(), ExecutorId(1));
+  // One wait escalates the ladder from Node to Rack: the mask is rack 0,
+  // execs 0 (Node) and 1 (Rack). The walk skips exec 1 for its cores.
+  const CostModel cost(CostModelSpec{});
+  const NativeDelayPolicy delay(LocalityWaits::uniform(kSec), cost);
+  const auto a = delay.find(state, rig.master, scan, kSec);
+  ASSERT_TRUE(a.has_value());
+  EXPECT_EQ(a->exec, ExecutorId(0));
+  EXPECT_EQ(a->locality, Locality::Node);
+  // With its cores back, exec 1 comes first in rotation and takes Rack.
+  state.set_free_cores(ExecutorId(1), Cpus{4});
+  const auto b = delay.find(state, rig.master, scan, kSec);
+  ASSERT_TRUE(b.has_value());
+  EXPECT_EQ(b->exec, ExecutorId(1));
+  EXPECT_EQ(b->locality, Locality::Rack);
+}
+
+TEST(CandidateWalk, Algorithm2RefusesNodeInsideTheRackMaskBeforeRack) {
+  // Observed durations put est(Rack) below ect and est(Node) and est(Any)
+  // at or above it: with the ladder still at Process, Algorithm 2
+  // accepts {Process, Rack} (NoPref has no task), a set with a hole.
+  IndexRig rig(hot_scan_dag(8, Cpus{1}), hot_node0());
+  JobState& state = rig.state;
+  BlockManagerMaster& master = rig.master;
+  const StageId scan(0);
+  const RddId in = rig.dag.stage(scan).inputs.front().rdd;
+  const struct {
+    std::int32_t task;
+    Locality at;
+    SimTime took;
+  } done[] = {{4, Locality::Node, 100 * kSec},
+              {5, Locality::Rack, kSec},
+              {6, Locality::Any, 100 * kSec}};
+  for (const auto& d : done) {
+    state.mark_launched(scan, d.task, ExecutorId(0), SimTime{0});
+    state.mark_finished(scan, d.task, ExecutorId(0), d.at, SimTime{0},
+                        d.took);
+  }
+  // A memory copy of task 3 on exec 3 puts Process on the ladder; exec 3
+  // itself lends its cores away. Three launches start the rotation at
+  // exec 3, so the walk meets exec 0 (Node) before exec 1 (Rack).
+  const BlockId in3{in, 3};
+  master.on_block_read(in3, ExecutorId(3),
+                       master.lookup(in3, ExecutorId(3)), kSec);
+  state.set_free_cores(ExecutorId(3), Cpus{0});
+  const SimTime now = 100 * kSec;
+  const LocalitySet accept =
+      levels_of({Locality::Process, Locality::Rack});
+  const auto mask = rig.index.candidates(state, master, scan, accept);
+  ASSERT_FALSE(mask.empty());
+  EXPECT_EQ(execs_of(mask, rig.topo),
+            (std::vector<ExecutorId>{ExecutorId(0), ExecutorId(1),
+                                     ExecutorId(2), ExecutorId(3)}));
+  EXPECT_EQ(rig.best(scan, ExecutorId(0)), (TaskPick{0, Locality::Node}));
+  EXPECT_EQ(rig.best(scan, ExecutorId(1)), (TaskPick{0, Locality::Rack}));
+
+  const CostModel cost(CostModelSpec{});
+  const SensitivityAwareDelayPolicy delay(LocalityWaits::uniform(1000 * kSec),
+                                          cost);
+  const LogLevel level = logging::level();
+  logging::set_level(LogLevel::Trace);
+  testing::internal::CaptureStderr();
+  const auto a = delay.find(state, master, scan, now);
+  const std::string trace = testing::internal::GetCapturedStderr();
+  logging::set_level(level);
+  ASSERT_TRUE(a.has_value());
+  EXPECT_EQ(a->exec, ExecutorId(1));
+  EXPECT_EQ(a->locality, Locality::Rack);
+  EXPECT_NE(trace.find("algorithm2 refuses stage 0 @NODE_LOCAL on exec 0"),
+            std::string::npos)
+      << trace;
+  EXPECT_NE(trace.find("algorithm2 accepts stage 0 task 0 @RACK_LOCAL on "
+                       "exec 1"),
+            std::string::npos)
+      << trace;
+}
+
+TEST(CandidateWalk, StaleProcessBitIsClearedOnItsFirstVisit) {
+  IndexRig rig(hot_scan_dag(4, Cpus{1}), hot_node0());
+  JobState& state = rig.state;
+  BlockManagerMaster& master = rig.master;
+  const StageId scan(0);
+  const RddId in = rig.dag.stage(scan).inputs.front().rdd;
+  for (const std::int32_t p : {0, 1}) {
+    const BlockId block{in, p};
+    const ExecutorId holder(2 + p);
+    master.on_block_read(block, holder, master.lookup(block, holder), kSec);
+  }
+  const LocalitySet process = levels_of({Locality::Process});
+  EXPECT_EQ(execs_of(rig.index.candidates(state, master, scan, process),
+                     rig.topo),
+            (std::vector<ExecutorId>{ExecutorId(2), ExecutorId(3)}));
+  // Task 0, the only one cached on exec 2, launches elsewhere: exec 2's
+  // bucket holds no live entry, but its bit stays until a visit.
+  state.mark_launched(scan, 0, ExecutorId(1), kSec);
+  EXPECT_EQ(execs_of(rig.index.candidates(state, master, scan, process),
+                     rig.topo),
+            (std::vector<ExecutorId>{ExecutorId(2), ExecutorId(3)}));
+  EXPECT_EQ(rig.best(scan, ExecutorId(2)), (TaskPick{1, Locality::Rack}));
+  EXPECT_EQ(execs_of(rig.index.candidates(state, master, scan, process),
+                     rig.topo),
+            std::vector<ExecutorId>{ExecutorId(3)});
+}
+
+TEST(CandidateWalk, JournalOverflowRebuildResetsTheMasks) {
+  // in1 is cached on exec 3 and the masks learn it; then in1 leaves
+  // exec 3 and a full journal of churn on in0 (ending cached on exec 0)
+  // hides that move. The rebuilt masks name exec 0 alone.
+  IndexRig rig(hot_scan_dag(4, Cpus{1}), single_replica());
+  JobState& state = rig.state;
+  BlockManagerMaster& master = rig.master;
+  const StageId scan(0);
+  const RddId in = rig.dag.stage(scan).inputs.front().rdd;
+  const BlockId in1{in, 1};
+  const ExecutorId cached(3);
+  master.on_block_read(in1, cached, master.lookup(in1, cached), kSec);
+  const LocalitySet process = levels_of({Locality::Process});
+  EXPECT_EQ(execs_of(rig.index.candidates(state, master, scan, process),
+                     rig.topo),
+            std::vector<ExecutorId>{cached});
+  ASSERT_TRUE(master.drop_memory_block(in1, cached));
+  const std::uint64_t moved_at = master.journal_end() - 1;
+  const BlockId in0{in, 0};
+  const ExecutorId reader(0);
+  while (master.journal_begin() <= moved_at) {
+    master.on_block_read(in0, reader, master.lookup(in0, reader), kSec);
+    ASSERT_TRUE(master.drop_memory_block(in0, reader));
+  }
+  master.on_block_read(in0, reader, master.lookup(in0, reader), kSec);
+  EXPECT_EQ(execs_of(rig.index.candidates(state, master, scan, process),
+                     rig.topo),
+            std::vector<ExecutorId>{reader});
+  rig.expect_matches("after the rebuild");
+}
+
+TEST(CandidateWalk, LiveNoCopyBucketWidensTheMaskToEveryExecutor) {
+  // prep -narrow-> post, with only prep's task 0 produced (memory and
+  // disk on exec 0): post's tasks 1-3 read blocks that exist nowhere.
+  JobDagBuilder b("nocopy");
+  const RddId in = b.input_rdd("in", 4, kMiB);
+  const StageId prep = b.add_stage({.name = "prep",
+                                    .inputs = {{in, DepKind::Narrow}},
+                                    .num_tasks = 4,
+                                    .task_cpus = Cpus{1},
+                                    .task_duration = kSec,
+                                    .output_bytes_per_partition = kMiB});
+  const StageId post = b.add_stage({.name = "post",
+                                    .inputs = {{b.output_of(prep),
+                                                DepKind::Narrow}},
+                                    .num_tasks = 4,
+                                    .task_cpus = Cpus{1},
+                                    .task_duration = kSec,
+                                    .output_bytes_per_partition = Bytes{0}});
+  IndexRig rig(b.build(), hot_node0());
+  BlockManagerMaster& master = rig.master;
+  master.on_block_produced(BlockId{rig.dag.stage(prep).output, 0},
+                           ExecutorId(0), kSec);
+  EXPECT_EQ(rig.best(post, ExecutorId(2)), (TaskPick{1, Locality::NoPref}));
+  EXPECT_TRUE(rig.index
+                  .candidates(rig.state, master, post,
+                              levels_of({Locality::Process, Locality::Node,
+                                         Locality::NoPref}))
+                  .empty());
+  EXPECT_EQ(execs_of(rig.index.candidates(
+                         rig.state, master, post,
+                         levels_of({Locality::Process, Locality::Node})),
+                     rig.topo),
+            std::vector<ExecutorId>{ExecutorId(0)});
+  EXPECT_TRUE(rig.index
+                  .candidates(rig.state, master, post,
+                              levels_of({Locality::Process, Locality::Any}))
+                  .empty());
 }
 
 // --- estimator ---------------------------------------------------------------
